@@ -9,10 +9,10 @@ estimators, so the three corrections are directly comparable.
 import numpy as np
 
 from bootval import Dataset, class_counts
-from bootval.metrics import C_STATISTIC, measure_value
-from bootval.models import FitRecipe, predict
-from bootval.optimism import (METHODS, apparent_fit, correct,
-                              evaluate_replicates)
+from bootval.intervals import validate
+from bootval.metrics import C_STATISTIC
+from bootval.models import FitRecipe
+from bootval.optimism import METHODS
 from bootval.resampling import ResamplePlan
 
 
@@ -35,15 +35,13 @@ def main():
     recipe = FitRecipe("ml")
     plan = ResamplePlan(B=500, seed=1)
 
-    model = apparent_fit(d, recipe, plan)
-    scores = predict(model, d)
-    apparent = measure_value(C_STATISTIC, scores, d.outcomes)
-    print(f"\napparent C-statistic: {apparent:.4f}")
+    # one apparent fit and one replicate set, shared by all three corrections
+    result = validate(d, recipe, C_STATISTIC, plan, corrections=METHODS)
+    print(f"\napparent C-statistic: {result.apparent:.4f}")
     print("(the model is graded on the data it was trained on, so this "
           "overstates performance)")
 
-    # one replicate set, shared by all three corrections
-    reps = evaluate_replicates(d, recipe, C_STATISTIC, plan)
+    reps = result.replicates
     print(f"\nbootstrap replicates: {plan.B} "
           f"({int(reps.valid.sum())} valid, "
           f"{int((reps.valid & reps.oob_valid).sum())} with usable "
@@ -51,8 +49,7 @@ def main():
 
     print(f"\n{'method':<10} {'corrected':>10} {'optimism':>10}")
     for method in METHODS:
-        res = correct(method, d, recipe, C_STATISTIC, plan,
-                      replicates=reps, apparent=apparent)
+        res = result.corrections[method]
         print(f"{method:<10} {res.corrected:>10.4f} {res.optimism:>10.4f}")
         if res.R is not None:
             print(f"{'':<10} relative overfitting rate R = {res.R:.3f}, "

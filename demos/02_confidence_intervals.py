@@ -11,11 +11,9 @@ is typically wider.
 import numpy as np
 
 from bootval import Dataset
-from bootval.intervals import (apparent_bootstrap_ci, delong_interval,
-                               location_shifted_ci, two_stage_ci)
-from bootval.metrics import C_STATISTIC, measure_value
-from bootval.models import FitRecipe, predict
-from bootval.optimism import apparent_fit, correct, evaluate_replicates
+from bootval.intervals import validate
+from bootval.metrics import C_STATISTIC
+from bootval.models import FitRecipe
 from bootval.resampling import ResamplePlan
 
 
@@ -31,35 +29,25 @@ def main():
     plan = ResamplePlan(B=300, seed=42)
     inner_B = 300
 
-    scores = predict(apparent_fit(d, recipe, plan), d)
-    apparent = measure_value(C_STATISTIC, scores, d.outcomes)
-    reps = evaluate_replicates(d, recipe, C_STATISTIC, plan)
-
     def show(label, est):
         print(f"{label:<28} {est.point:.4f} "
               f"({est.lower:.4f}, {est.upper:.4f})  width {est.width:.4f}")
 
-    print(f"n={n}, p={p}, B={plan.B}, alpha=0.05\n")
-    show("DeLong (apparent)",
-         delong_interval(d, recipe, plan, apparent_scores=scores))
-    app_ci = apparent_bootstrap_ci(d, recipe, C_STATISTIC, plan,
-                                   replicates=reps, apparent=apparent)
+    print(f"n={n}, p={p}, B={plan.B}, alpha=0.05")
+    print(f"(the two-stage interval takes {plan.B} x {inner_B} "
+          "resamples)...\n")
+    # one apparent fit and one replicate set feed every interval
+    delong, app_ci, ls, ts = validate(
+        d, recipe, C_STATISTIC, plan,
+        methods=["delong", "apparent", "location-shift:harrell",
+                 "two-stage:harrell"],
+        inner_B=inner_B).intervals
+    show("DeLong (apparent)", delong)
     show("apparent bootstrap", app_ci)
-
-    ls = location_shifted_ci(d, recipe, C_STATISTIC, plan, "harrell",
-                             replicates=reps, apparent=apparent)
     show("location-shifted (Harrell)", ls)
     print(f"{'':<28} shift = {ls.shift:.4f}; width identical to the "
           f"apparent interval: {ls.width == app_ci.width}")
-
-    point = correct("harrell", d, recipe, C_STATISTIC, plan,
-                    replicates=reps, apparent=apparent)
-    print(f"\nrunning the two-stage interval "
-          f"({plan.B} x {inner_B} resamples)...")
-    ts = two_stage_ci(d, recipe, C_STATISTIC, plan, inner_B, "harrell",
-                      point_result=point)
     show("two-stage (Harrell)", ts)
-
 
 if __name__ == "__main__":
     main()

@@ -10,9 +10,10 @@ fit's surviving predictors.
 import numpy as np
 
 from bootval import Dataset
-from bootval.metrics import C_STATISTIC, measure_value
-from bootval.models import FitRecipe, lasso_lambda_max, predict
-from bootval.optimism import apparent_fit, harrell_correct
+from bootval.intervals import validate
+from bootval.metrics import C_STATISTIC
+from bootval.models import FitRecipe, lasso_lambda_max
+from bootval.optimism import apparent_fit
 from bootval.resampling import ResamplePlan
 
 
@@ -33,13 +34,12 @@ def main():
     for estimator in ("ml", "ridge", "lasso"):
         # penalty=None -> CV-selected; a shorter grid keeps the demo quick
         recipe = FitRecipe(estimator, n_lambdas=40)
-        model = apparent_fit(d, recipe, plan)
-        apparent = measure_value(C_STATISTIC, predict(model, d), d.outcomes)
-        res = harrell_correct(d, recipe, C_STATISTIC, plan,
-                              apparent=apparent)
-        print(f"{estimator:<8} {apparent:>9.4f} {res.corrected:>10.4f} "
+        res = validate(d, recipe, C_STATISTIC, plan,
+                       corrections=["harrell"]).corrections["harrell"]
+        print(f"{estimator:<8} {res.apparent:>9.4f} {res.corrected:>10.4f} "
               f"{res.optimism:>9.4f}")
         if estimator == "lasso":
+            model = apparent_fit(d, recipe, plan)
             kept = np.flatnonzero(model.slopes != 0.0)
             print(f"{'':<8} selected lambda = {model.penalty:.4f}; "
                   f"nonzero slopes at columns {kept.tolist()}")

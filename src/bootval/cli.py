@@ -16,16 +16,20 @@ import time
 
 from . import __version__
 from .data import DataError, load_csv
-from .intervals import (APPARENT, CI_METHODS, DELONG, LOCATION_SHIFTED,
-                        TWO_STAGE, apparent_bootstrap_ci, delong_interval,
-                        location_shifted_ci, two_stage_ci)
-from .metrics import C_STATISTIC, CALIBRATION_SLOPE, measure_value
-from .models import FitRecipe, predict
-from .optimism import METHODS, apparent_fit, correct, evaluate_replicates
+from .intervals import (CI_METHODS, CORRECTED, DELONG, parse_method,
+                        validate)
+from .metrics import C_STATISTIC, CALIBRATION_SLOPE
+from .models import FitRecipe
+from .optimism import METHODS
 from .resampling import ResamplePlan, default_workers
 from .simulation import (GeneratorConfig, ScenarioSpec, coverage_to_csv,
                          coverage_to_json, read_scenario_params,
                          run_scenario)
+# Not called here: bench/launch.py times these layers through the names
+# this module imports.
+from .intervals import two_stage_ci  # noqa: F401
+from .models import predict  # noqa: F401
+from .optimism import evaluate_replicates  # noqa: F401
 
 RNG_SCHEME = "philox-seedsequence-keyed"
 
@@ -39,15 +43,25 @@ def _sig6(x):
     return float(f"{x:.6g}")
 
 
-def _parse_list(raw: str, allowed, what: str) -> list[str]:
+def _parse_list(raw: str, what: str) -> list[str]:
     items = [s.strip() for s in raw.split(",") if s.strip()]
-    for item in items:
-        base = item.split(":", 1)[0]
-        if base not in allowed:
-            raise ConfigError(f"unknown {what} {item!r}")
     if not items:
         raise ConfigError(f"no {what} requested")
     return items
+
+
+def _interval_specs(ci_methods, corrections) -> list[str]:
+    """--ci-methods x --corrections as method specs in report order:
+    delong, apparent, location-shift per correction, two-stage per
+    correction, whatever the order given."""
+    specs = []
+    for item in ci_methods:
+        if item.split(":", 1)[0] in CORRECTED:
+            specs += [f"{item}:{c}" for c in corrections]
+        else:
+            specs.append(item)
+    return sorted(dict.fromkeys(specs),
+                  key=lambda spec: CI_METHODS.index(parse_method(spec)[0]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,9 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default=C_STATISTIC)
     v.add_argument("--corrections", default="harrell,0.632,0.632plus",
                    help="comma-separated subset of harrell,0.632,0.632plus")
-    v.add_argument("--ci-methods", default="delong,apparent,location-shift,"
-                   "two-stage", help="comma-separated subset of "
-                   "delong,apparent,location-shift,two-stage")
+    v.add_argument("--ci-methods", default=None,
+                   help="comma-separated subset of delong,apparent,"
+                   "location-shift,two-stage (default: all four for the "
+                   "c-statistic, all but delong for the calibration slope)")
     v.add_argument("--B", type=int, default=2000)
     v.add_argument("--inner-B", type=int, default=None,
                    help="inner bootstrap size for two-stage (default: B)")
@@ -122,9 +137,17 @@ def _check_common(args):
 
 def validate_command(args) -> dict:
     _check_common(args)
-    corrections = _parse_list(args.corrections, METHODS, "correction")
-    ci_methods = _parse_list(args.ci_methods, CI_METHODS, "CI method")
-    if DELONG in ci_methods and args.measure != C_STATISTIC:
+    corrections = _parse_list(args.corrections, "correction")
+    for method in corrections:
+        if method not in METHODS:
+            raise ConfigError(f"unknown correction {method!r}")
+    # without --ci-methods: every interval the measure has
+    ci_methods = (_parse_list(args.ci_methods, "CI method")
+                  if args.ci_methods is not None
+                  else [m for m in CI_METHODS
+                        if m != DELONG or args.measure == C_STATISTIC])
+    specs = _interval_specs(ci_methods, corrections)
+    if DELONG in specs and args.measure != C_STATISTIC:
         raise ConfigError("the DeLong interval applies to the c-statistic "
                           "only")
     d = load_csv(args.input, args.outcome_column)
@@ -132,18 +155,18 @@ def validate_command(args) -> dict:
     plan = ResamplePlan(args.B, args.seed)
 
     t0 = time.monotonic()
-    model = apparent_fit(d, recipe, plan)
-    scores = predict(model, d)
-    apparent = measure_value(args.measure, scores, d.outcomes)
-    reps = evaluate_replicates(d, recipe, args.measure, plan,
-                               workers=args.workers)
+    print(f"[bootval] validate: {len(specs)} intervals, B={plan.B}, "
+          f"inner_B={args.inner_B}", file=sys.stderr)
+    result = validate(d, recipe, args.measure, plan, corrections, specs,
+                      inner_B=args.inner_B, alpha=args.alpha,
+                      workers=args.workers)
+    reps = result.replicates
     print(f"[bootval] {plan.B} replicates evaluated "
           f"({int(reps.valid.sum())} valid)", file=sys.stderr)
 
     corrections_out = {}
     for method in corrections:
-        res = correct(method, d, recipe, args.measure, plan,
-                      replicates=reps, apparent=apparent)
+        res = result.corrections[method]
         entry = {"apparent": _sig6(res.apparent),
                  "corrected": _sig6(res.corrected),
                  "optimism": _sig6(res.optimism),
@@ -157,8 +180,7 @@ def validate_command(args) -> dict:
         corrections_out[method] = entry
 
     intervals_out = []
-
-    def record(est):
+    for est in result.intervals:
         row = {"method": est.method, "point": _sig6(est.point),
                "lower": _sig6(est.lower), "upper": _sig6(est.upper),
                "alpha": est.alpha, "n_valid": est.n_valid}
@@ -171,28 +193,6 @@ def validate_command(args) -> dict:
         if est.shift is not None:
             row["shift"] = _sig6(est.shift)
         intervals_out.append(row)
-
-    if DELONG in ci_methods:
-        record(delong_interval(d, recipe, plan, args.alpha,
-                               apparent_scores=scores))
-    if APPARENT in ci_methods:
-        record(apparent_bootstrap_ci(d, recipe, args.measure, plan,
-                                     args.alpha, replicates=reps,
-                                     apparent=apparent))
-    if LOCATION_SHIFTED in ci_methods:
-        for method in corrections:
-            record(location_shifted_ci(d, recipe, args.measure, plan,
-                                       method, args.alpha, replicates=reps,
-                                       apparent=apparent))
-    if TWO_STAGE in ci_methods:
-        for method in corrections:
-            point = correct(method, d, recipe, args.measure, plan,
-                            replicates=reps, apparent=apparent)
-            print(f"[bootval] two-stage ({method}): "
-                  f"{plan.B} x {args.inner_B} resamples...", file=sys.stderr)
-            record(two_stage_ci(d, recipe, args.measure, plan, args.inner_B,
-                                method, args.alpha, workers=args.workers,
-                                point_result=point))
     print(f"[bootval] validate finished in "
           f"{time.monotonic() - t0:.1f}s", file=sys.stderr)
 
@@ -212,7 +212,7 @@ def validate_command(args) -> dict:
             "seed": args.seed,
         },
         "dataset": {"n": d.n, "p": d.p, "names": list(d.names)},
-        "apparent": _sig6(apparent),
+        "apparent": _sig6(result.apparent),
         "corrections": corrections_out,
         "intervals": intervals_out,
         "replicates": {"B": plan.B, "valid": int(reps.valid.sum()),
@@ -225,7 +225,7 @@ def validate_command(args) -> dict:
 
 def simulate_command(args) -> tuple[str, str]:
     _check_common(args)
-    methods = _parse_list(args.methods, CI_METHODS, "CI method")
+    methods = _parse_list(args.methods, "CI method")
     if args.replications < 1:
         raise ConfigError("replications must be >= 1")
     if args.scenario_params:

@@ -1,10 +1,13 @@
-"""Confidence intervals for optimism-corrected accuracy measures.
+"""Confidence intervals for optimism-corrected accuracy measures, and the
+validation pipeline that computes them.
 
 Four families: DeLong's Wald interval (comparator), the apparent bootstrap
 percentile interval, the location-shifted interval (apparent interval
 translated by the estimated optimism), and the two-stage interval
 (percentile interval of corrected estimates from a full inner bootstrap
-inside each outer replicate).
+inside each outer replicate). `validate` fits, scores and evaluates the
+replicates once and derives every requested correction and interval from
+them.
 """
 
 from __future__ import annotations
@@ -14,23 +17,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .metrics import MetricError, delong_ci, measure_value
+from .metrics import delong_ci, measure_value
 from .models import FitRecipe, predict
-from .optimism import (OptimismResult, ReplicateSet, apparent_fit, correct,
-                       evaluate_replicates, two_class_draw)
-from .resampling import (BootstrapDistribution, ReplicateInvalid,
-                         ResamplePlan, inner_level, map_indices,
-                         percentile_interval)
+from .optimism import (METHODS, OptimismResult, ReplicateSet, apparent_fit,
+                       correct, evaluate_replicates, two_class_draw)
+from .resampling import (BootstrapDistribution, ResamplePlan, inner_level,
+                         map_indices, percentile_interval)
 
 DELONG = "delong"
 APPARENT = "apparent"
 LOCATION_SHIFTED = "location-shift"
 TWO_STAGE = "two-stage"
 CI_METHODS = (DELONG, APPARENT, LOCATION_SHIFTED, TWO_STAGE)
+#: interval kinds that take a correction: `kind:correction`
+CORRECTED = (LOCATION_SHIFTED, TWO_STAGE)
 
 
 class IntervalError(ValueError):
     pass
+
+
+def parse_method(method: str) -> tuple[str, str | None]:
+    """'two-stage:harrell' -> ('two-stage', 'harrell'); bare names pass
+    through with no correction."""
+    if ":" in method:
+        kind, correction = method.split(":", 1)
+    else:
+        kind, correction = method, None
+    if kind not in CI_METHODS:
+        raise IntervalError(f"unknown CI method {method!r}")
+    if kind in CORRECTED:
+        if correction not in METHODS:
+            raise IntervalError(
+                f"{kind} requires a correction, got {correction!r}")
+    elif correction is not None:
+        raise IntervalError(f"{kind} takes no correction")
+    return kind, correction
 
 
 @dataclass(frozen=True)
@@ -58,108 +80,143 @@ class IntervalEstimate:
         return self.lower <= value <= self.upper
 
 
-def delong_interval(d: Dataset, recipe: FitRecipe, plan: ResamplePlan,
-                    alpha: float = 0.05,
-                    apparent_scores=None) -> IntervalEstimate:
-    """metrics.delong_ci wrapped into an IntervalEstimate (C-statistic only)."""
-    if apparent_scores is None:
-        apparent_scores = predict(apparent_fit(d, recipe, plan), d)
-    auc = measure_value("c-statistic", apparent_scores, d.outcomes)
-    lower, upper = delong_ci(apparent_scores, d.outcomes, alpha)
+def delong_interval(scores, outcomes: np.ndarray,
+                    alpha: float = 0.05) -> IntervalEstimate:
+    """metrics.delong_ci of the apparent risk scores as an IntervalEstimate
+    (C-statistic only)."""
+    auc = measure_value("c-statistic", scores, outcomes)
+    lower, upper = delong_ci(scores, outcomes, alpha)
     return IntervalEstimate(DELONG, auc, lower, upper, alpha,
-                            B_outer=0, n_valid=d.n)
+                            n_valid=outcomes.shape[0])
 
 
-def apparent_bootstrap_ci(d: Dataset, recipe: FitRecipe, measure: str,
-                          plan: ResamplePlan, alpha: float = 0.05,
-                          workers: int = 1,
-                          replicates: ReplicateSet | None = None,
-                          apparent: float | None = None) -> IntervalEstimate:
+def apparent_bootstrap_ci(apparent: float, reps: ReplicateSet,
+                          alpha: float = 0.05) -> IntervalEstimate:
     """Percentile interval of the replicate-on-own-resample distribution."""
-    if apparent is None:
-        model = apparent_fit(d, recipe, plan)
-        apparent = measure_value(measure, predict(model, d), d.outcomes)
-    if replicates is None:
-        replicates = evaluate_replicates(d, recipe, measure, plan,
-                                         workers=workers)
-    dist = BootstrapDistribution(replicates.theta_boot, replicates.valid)
+    dist = BootstrapDistribution(reps.theta_boot, reps.valid)
     lower, upper = percentile_interval(dist, alpha)
     return IntervalEstimate(APPARENT, apparent, lower, upper, alpha,
-                            B_outer=plan.B,
-                            n_valid=int(replicates.valid.sum()))
+                            B_outer=reps.B, n_valid=int(reps.valid.sum()))
 
 
-def location_shifted_ci(d: Dataset, recipe: FitRecipe, measure: str,
-                        plan: ResamplePlan, correction: str,
-                        alpha: float = 0.05, workers: int = 1,
-                        replicates: ReplicateSet | None = None,
-                        apparent: float | None = None) -> IntervalEstimate:
+def location_shifted_ci(result: OptimismResult, reps: ReplicateSet,
+                        alpha: float = 0.05) -> IntervalEstimate:
     """Apparent bootstrap interval translated by the optimism estimate;
     width equals the apparent interval's width exactly."""
-    if replicates is None:
-        replicates = evaluate_replicates(d, recipe, measure, plan,
-                                         workers=workers)
-    app_ci = apparent_bootstrap_ci(d, recipe, measure, plan, alpha,
-                                   replicates=replicates, apparent=apparent)
-    corr = correct(correction, d, recipe, measure, plan,
-                   replicates=replicates, apparent=app_ci.point)
-    shift = corr.apparent - corr.corrected
-    return IntervalEstimate(LOCATION_SHIFTED, corr.corrected,
+    app_ci = apparent_bootstrap_ci(result.apparent, reps, alpha)
+    shift = result.apparent - result.corrected
+    return IntervalEstimate(LOCATION_SHIFTED, result.corrected,
                             app_ci.lower - shift, app_ci.upper - shift,
-                            alpha, correction=correction, B_outer=plan.B,
+                            alpha, correction=result.method, B_outer=reps.B,
                             shift=shift, n_valid=app_ci.n_valid)
 
 
+def two_stage_ci(result: OptimismResult, values: np.ndarray, inner_B: int,
+                 alpha: float = 0.05) -> IntervalEstimate:
+    """Percentile interval of the corrected estimates of the outer
+    replicates (NaN where invalid). The point is the corrected estimate on
+    the original data."""
+    valid = ~np.isnan(values)
+    if not valid.any():
+        raise IntervalError("all outer replicates invalid")
+    lower, upper = percentile_interval(BootstrapDistribution(values, valid),
+                                       alpha)
+    return IntervalEstimate(TWO_STAGE, result.corrected, lower, upper, alpha,
+                            correction=result.method,
+                            B_outer=values.shape[0], B_inner=inner_B,
+                            n_valid=int(valid.sum()))
+
+
+def _bootstrap(d: Dataset, recipe: FitRecipe, measure: str,
+               plan: ResamplePlan, workers: int = 1):
+    """The bootstrap every correction and interval shares: the apparent
+    risk scores, the apparent value and the replicate set."""
+    scores = predict(apparent_fit(d, recipe, plan), d)
+    apparent = measure_value(measure, scores, d.outcomes)
+    return scores, apparent, evaluate_replicates(d, recipe, measure, plan,
+                                                 workers=workers)
+
+
 class _TwoStageOuterTask:
-    """Outer replicate task: treat the resample as a derivation dataset and
-    run the chosen correction with a full inner bootstrap keyed to the
-    outer replicate index."""
+    """Outer replicate task: treat the resample as a derivation dataset, run
+    the shared bootstrap on it with an inner plan keyed to the outer
+    replicate index, and return each correction's value, NaN where it is
+    undefined."""
 
     def __init__(self, d: Dataset, recipe: FitRecipe, measure: str,
-                 outer_plan: ResamplePlan, inner_B: int, correction: str):
+                 outer_plan: ResamplePlan, inner_B: int, corrections):
         self.d = d
         self.recipe = recipe
         self.measure = measure
         self.outer_plan = outer_plan
         self.inner_B = inner_B
-        self.correction = correction
+        self.corrections = tuple(corrections)
 
-    def __call__(self, b: int) -> float:
+    def __call__(self, b: int) -> list[float]:
         d, plan = self.d, self.outer_plan
+        values = [np.nan] * len(self.corrections)
         rs = two_class_draw(d, plan, b)
         if rs is None:
-            raise ReplicateInvalid
-        boot_d = d.subset(rs.indices)
+            return values
         inner_plan = ResamplePlan(self.inner_B, plan.seed,
                                   level=inner_level(b))
         try:
-            result = correct(self.correction, boot_d, self.recipe,
-                             self.measure, inner_plan)
-        except (MetricError, ValueError):
-            raise ReplicateInvalid from None
-        return result.corrected
+            _, apparent, reps = _bootstrap(d.subset(rs.indices), self.recipe,
+                                           self.measure, inner_plan)
+        except ValueError:
+            return values
+        for i, correction in enumerate(self.corrections):
+            try:
+                values[i] = correct(correction, self.measure, apparent,
+                                    reps).corrected
+            except ValueError:
+                pass
+        return values
 
 
-def two_stage_ci(d: Dataset, recipe: FitRecipe, measure: str,
-                 outer_plan: ResamplePlan, inner_B: int, correction: str,
-                 alpha: float = 0.05, workers: int = 1,
-                 point_result: OptimismResult | None = None) -> IntervalEstimate:
-    """Percentile interval of corrected estimates computed on each outer
-    resample via an inner bootstrap. The point is the corrected estimate on
-    the original data (computed from the same outer resample sequence)."""
-    if inner_B < 1:
+@dataclass(frozen=True)
+class Validation:
+    """What one validation computed: the apparent value, the replicate set,
+    one OptimismResult per correction and one IntervalEstimate per
+    requested method, in the order requested."""
+
+    apparent: float
+    replicates: ReplicateSet
+    corrections: dict[str, OptimismResult]
+    intervals: list[IntervalEstimate]
+
+
+def validate(d: Dataset, recipe: FitRecipe, measure: str, plan: ResamplePlan,
+             corrections=(), methods=(), inner_B: int | None = None,
+             alpha: float = 0.05, workers: int = 1) -> Validation:
+    """Bootstrap validation of the recipe on d.
+
+    The apparent fit and the plan's replicates are fitted, scored and
+    evaluated once. Every correction in `corrections`, and every one a
+    method names, is derived from them. `methods` are `kind[:correction]`
+    specs (see parse_method). All two-stage intervals share one outer map,
+    each outer replicate running the same bootstrap at inner_B."""
+    parsed = [parse_method(m) for m in methods]
+    two_stage = list(dict.fromkeys(c for k, c in parsed if k == TWO_STAGE))
+    if two_stage and (inner_B is None or inner_B < 1):
         raise IntervalError("inner_B must be >= 1")
-    task = _TwoStageOuterTask(d, recipe, measure, outer_plan, inner_B,
-                              correction)
-    values, valid = map_indices(outer_plan.B, task, workers=workers)
-    if not valid.any():
-        raise IntervalError("all outer replicates invalid")
-    dist = BootstrapDistribution(values, valid)
-    lower, upper = percentile_interval(dist, alpha)
-    if point_result is None:
-        point_result = correct(correction, d, recipe, measure, outer_plan,
-                               workers=workers)
-    return IntervalEstimate(TWO_STAGE, point_result.corrected, lower, upper,
-                            alpha, correction=correction,
-                            B_outer=outer_plan.B, B_inner=inner_B,
-                            n_valid=int(valid.sum()))
+    scores, apparent, reps = _bootstrap(d, recipe, measure, plan, workers)
+    results = {c: correct(c, measure, apparent, reps) for c in
+               dict.fromkeys([*corrections, *(c for _, c in parsed if c)])}
+    if two_stage:
+        task = _TwoStageOuterTask(d, recipe, measure, plan, inner_B,
+                                  two_stage)
+        outer = dict(zip(two_stage,
+                         map_indices(plan.B, task, workers=workers).T))
+    intervals = []
+    for kind, c in parsed:
+        if kind == DELONG:
+            est = delong_interval(scores, d.outcomes, alpha)
+        elif kind == APPARENT:
+            est = apparent_bootstrap_ci(apparent, reps, alpha)
+        elif kind == LOCATION_SHIFTED:
+            est = location_shifted_ci(results[c], reps, alpha)
+        else:
+            est = two_stage_ci(results[c], outer[c], inner_B, alpha)
+        intervals.append(est)
+    return Validation(apparent, reps, results, intervals)

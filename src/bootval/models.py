@@ -137,18 +137,14 @@ def _newton_irls(y, z, beta0, max_iter, tol):
     return beta, False, max_iter
 
 
-def fit_ml(d: Dataset, recipe: FitRecipe | None = None,
-           warm_start: np.ndarray | None = None) -> FittedModel:
+def fit_ml(d: Dataset, recipe: FitRecipe | None = None) -> FittedModel:
     """Maximum-likelihood logistic fit."""
     recipe = recipe or FitRecipe("ml")
     d.check_fittable()
     z = np.hstack([np.ones((d.n, 1)), d.predictors])
-    if warm_start is None:
-        beta0 = np.zeros(d.p + 1)
-        ybar = float(d.outcomes.mean())
-        beta0[0] = np.log(ybar / (1.0 - ybar))
-    else:
-        beta0 = np.asarray(warm_start, dtype=np.float64)
+    beta0 = np.zeros(d.p + 1)
+    ybar = float(d.outcomes.mean())
+    beta0[0] = np.log(ybar / (1.0 - ybar))
     beta, converged, it = _newton_irls(
         d.outcomes, z, beta0, recipe.max_iter, recipe.tol)
     return FittedModel("ml", float(beta[0]), beta[1:].copy(),
@@ -319,13 +315,12 @@ def penalized_objective(model: FittedModel, d: Dataset) -> float:
 
 
 def fit(d: Dataset, recipe: FitRecipe,
-        fold_rng: np.random.Generator | None = None,
-        warm_start: np.ndarray | None = None) -> FittedModel:
+        fold_rng: np.random.Generator | None = None) -> FittedModel:
     """Dispatch on the recipe's estimator. The single entry point used by
     the bootstrap engine, so the full model-development process (including
     any penalty tuning) is what gets resampled."""
     if recipe.estimator == "ml":
-        return fit_ml(d, recipe, warm_start=warm_start)
+        return fit_ml(d, recipe)
     return fit_penalized(d, recipe, fold_rng=fold_rng)
 
 

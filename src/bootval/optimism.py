@@ -178,7 +178,6 @@ class OptimismResult:
     theta_out: float | None = None
     R: float | None = None
     w: float | None = None
-    per_replicate: ReplicateSet | None = None
     n_valid: int = 0
     r_fallback: bool = False  # apparent == no-information exactly
 
@@ -206,7 +205,7 @@ def harrell_from_replicates(apparent: float,
         raise OptimismError("no valid replicates")
     lam = float((reps.theta_boot[mask] - reps.theta_orig[mask]).mean())
     return OptimismResult(HARRELL, apparent, apparent - lam, lam,
-                          per_replicate=reps, n_valid=int(mask.sum()))
+                          n_valid=int(mask.sum()))
 
 
 def p632_from_replicates(apparent: float,
@@ -214,7 +213,7 @@ def p632_from_replicates(apparent: float,
     theta_out, n = _theta_out_mean(reps)
     corrected = 0.368 * apparent + 0.632 * theta_out
     return OptimismResult(P632, apparent, corrected, apparent - corrected,
-                          theta_out=theta_out, per_replicate=reps, n_valid=n)
+                          theta_out=theta_out, n_valid=n)
 
 
 def p632plus_from_replicates(apparent: float, reps: ReplicateSet,
@@ -230,40 +229,19 @@ def p632plus_from_replicates(apparent: float, reps: ReplicateSet,
     w = 0.632 / (1.0 - 0.368 * r_rate)
     corrected = (1.0 - w) * apparent + w * theta_out
     return OptimismResult(P632PLUS, apparent, corrected, apparent - corrected,
-                          theta_out=theta_out, R=r_rate, w=w,
-                          per_replicate=reps, n_valid=n, r_fallback=fallback)
+                          theta_out=theta_out, R=r_rate, w=w, n_valid=n,
+                          r_fallback=fallback)
 
 
-def correct(method: str, d: Dataset, recipe: FitRecipe, measure: str,
-            plan: ResamplePlan, workers: int = 1,
-            replicates: ReplicateSet | None = None,
-            apparent: float | None = None) -> OptimismResult:
-    """Run one optimism correction end to end. A precomputed ReplicateSet
-    and apparent value may be passed in so several corrections (and the
-    apparent bootstrap CI) share one replicate sequence."""
-    if method not in METHODS:
-        raise OptimismError(f"unknown correction method {method!r}")
-    if apparent is None:
-        model = apparent_fit(d, recipe, plan)
-        apparent = measure_value(measure, predict(model, d), d.outcomes)
-    if replicates is None:
-        replicates = evaluate_replicates(d, recipe, measure, plan,
-                                         workers=workers)
+def correct(method: str, measure: str, apparent: float,
+            reps: ReplicateSet) -> OptimismResult:
+    """One optimism correction from the apparent value and the replicate
+    set; every correction of one validation shares both."""
     if method == HARRELL:
-        return harrell_from_replicates(apparent, replicates)
+        return harrell_from_replicates(apparent, reps)
     if method == P632:
-        return p632_from_replicates(apparent, replicates)
-    return p632plus_from_replicates(apparent, replicates,
-                                    no_information(measure))
-
-
-def harrell_correct(d, recipe, measure, plan, **kw) -> OptimismResult:
-    return correct(HARRELL, d, recipe, measure, plan, **kw)
-
-
-def p632_correct(d, recipe, measure, plan, **kw) -> OptimismResult:
-    return correct(P632, d, recipe, measure, plan, **kw)
-
-
-def p632plus_correct(d, recipe, measure, plan, **kw) -> OptimismResult:
-    return correct(P632PLUS, d, recipe, measure, plan, **kw)
+        return p632_from_replicates(apparent, reps)
+    if method == P632PLUS:
+        return p632plus_from_replicates(apparent, reps,
+                                        no_information(measure))
+    raise OptimismError(f"unknown correction method {method!r}")

@@ -13,29 +13,12 @@ resampled, not the algorithm under test).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .models import FitRecipe, fit, log_likelihood, predict
 from .resampling import ResamplePlan, inner_level, stream
-
-
-@dataclass(frozen=True)
-class OracleVerdict:
-    name: str
-    fast_value: float
-    oracle_value: float
-    tolerance: float
-
-    @property
-    def difference(self) -> float:
-        return abs(self.fast_value - self.oracle_value)
-
-    @property
-    def passed(self) -> bool:
-        return self.difference <= self.tolerance
 
 
 def auc_bruteforce(scores, outcomes) -> float:

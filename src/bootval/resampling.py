@@ -38,11 +38,6 @@ class ResamplingError(ValueError):
     pass
 
 
-class ReplicateInvalid(Exception):
-    """Raised by a replicate task to mark this replicate invalid without
-    aborting the run (e.g. persistently single-class resample)."""
-
-
 @dataclass(frozen=True)
 class ResamplePlan:
     B: int
@@ -136,69 +131,20 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-class _Indexed:
-    """Picklable wrapper mapping replicate index -> (index, result)."""
-
-    def __init__(self, task):
-        self.task = task
-
-    def __call__(self, r):
-        try:
-            return r, self.task(r), True
-        except ReplicateInvalid:
-            return r, np.nan, False
-
-
-def map_indices(n_items: int, task, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Run task(r) for r in 0..n_items-1, possibly across processes.
-
-    Results are stored by index, so the output never depends on execution
-    order or worker count. task must be a pure, picklable callable; it may
-    raise ReplicateInvalid to mark an index invalid."""
-    wrapped = _Indexed(task)
-    results = np.full(n_items, np.nan)
-    valid = np.zeros(n_items, dtype=bool)
-    if workers <= 1 or n_items <= 1:
-        for r in range(n_items):
-            r, value, ok = wrapped(r)
-            results[r], valid[r] = value, ok
-        return results, valid
-    chunk = max(1, n_items // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for r, value, ok in pool.map(wrapped, range(n_items), chunksize=chunk):
-            results[r], valid[r] = value, ok
-    return results, valid
-
-
-class _IndexedRecord:
-    def __init__(self, task):
-        self.task = task
-
-    def __call__(self, r):
-        return r, self.task(r)
-
-
 def map_records(n_items: int, task, workers: int = 1) -> list:
-    """Like map_indices but for tasks returning arbitrary picklable
-    records; exceptions propagate. Output is ordered by index."""
-    out = [None] * n_items
+    """[task(0), ..., task(n_items - 1)], possibly across processes.
+
+    The list is in index order whatever the worker count. task must be a
+    pure, picklable callable; its exceptions propagate."""
     if workers <= 1 or n_items <= 1:
-        for r in range(n_items):
-            out[r] = task(r)
-        return out
-    wrapped = _IndexedRecord(task)
+        return [task(r) for r in range(n_items)]
     chunk = max(1, n_items // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for r, rec in pool.map(wrapped, range(n_items), chunksize=chunk):
-            out[r] = rec
-    return out
+        return list(pool.map(task, range(n_items), chunksize=chunk))
 
 
-def run_replicates(plan: ResamplePlan, task,
-                   workers: int = 1) -> BootstrapDistribution:
-    """values[r] = task(r) for each replicate of the plan. Failed
-    replicates are marked invalid, never aborting the run."""
-    values, valid = map_indices(plan.B, task, workers=workers)
-    if not valid.any():
-        raise ResamplingError("all replicates invalid")
-    return BootstrapDistribution(values=values, valid_mask=valid)
+def map_indices(n_items: int, task, workers: int = 1) -> np.ndarray:
+    """map_records for tasks that return a float or a row of floats, as a
+    float array; NaN marks an invalid entry."""
+    return np.array(map_records(n_items, task, workers=workers),
+                    dtype=np.float64)

@@ -25,13 +25,15 @@ from scipy.optimize import brentq
 from scipy.stats import multivariate_normal, norm
 
 from .data import Dataset
-from .intervals import (APPARENT, DELONG, LOCATION_SHIFTED, TWO_STAGE,
-                        apparent_bootstrap_ci, delong_interval,
-                        location_shifted_ci, two_stage_ci)
-from .metrics import c_statistic_value, measure_value
-from .models import FitRecipe, logistic, predict
-from .optimism import METHODS, apparent_fit, correct, evaluate_replicates
+from .intervals import parse_method, validate
+from .metrics import C_STATISTIC, c_statistic_value
+from .models import FitRecipe, logistic
 from .resampling import ResamplePlan, map_records, stream
+# Not called here: bench/launch.py times these layers through the names
+# this module imports.
+from .intervals import two_stage_ci  # noqa: F401
+from .models import predict  # noqa: F401
+from .optimism import evaluate_replicates  # noqa: F401
 
 
 class SimulationError(ValueError):
@@ -372,24 +374,6 @@ class CoverageResult:
             raise SimulationError("coverage must lie in [0, 1]")
 
 
-def parse_method(method: str) -> tuple[str, str | None]:
-    """'two-stage:harrell' -> ('two-stage', 'harrell'); bare names pass
-    through with no correction."""
-    if ":" in method:
-        kind, correction = method.split(":", 1)
-    else:
-        kind, correction = method, None
-    if kind not in (DELONG, APPARENT, LOCATION_SHIFTED, TWO_STAGE):
-        raise SimulationError(f"unknown CI method {method!r}")
-    if kind in (LOCATION_SHIFTED, TWO_STAGE):
-        if correction not in METHODS:
-            raise SimulationError(
-                f"{kind} requires a correction, got {correction!r}")
-    elif correction is not None:
-        raise SimulationError(f"{kind} takes no correction")
-    return kind, correction
-
-
 class _ReplicationTask:
     """One simulation replication: generate a cohort, compute every
     requested interval, report (covered, width) per method."""
@@ -409,37 +393,15 @@ class _ReplicationTask:
         spec = self.spec
         rep_seed = _subseed(self.seed, 3, spec.id, i)
         d = generate_cohort(self.gen, self.model, spec.p, spec.n, rep_seed)
-        recipe = FitRecipe("ml")
         plan = ResamplePlan(self.B, rep_seed)
-        out = {}
         try:
-            model = apparent_fit(d, recipe, plan)
-            scores = predict(model, d)
-            apparent = measure_value("c-statistic", scores, d.outcomes)
-            reps = evaluate_replicates(d, recipe, "c-statistic", plan)
-            for method in self.methods:
-                kind, correction = parse_method(method)
-                if kind == DELONG:
-                    est = delong_interval(d, recipe, plan, self.alpha,
-                                          apparent_scores=scores)
-                elif kind == APPARENT:
-                    est = apparent_bootstrap_ci(
-                        d, recipe, "c-statistic", plan, self.alpha,
-                        replicates=reps, apparent=apparent)
-                elif kind == LOCATION_SHIFTED:
-                    est = location_shifted_ci(
-                        d, recipe, "c-statistic", plan, correction,
-                        self.alpha, replicates=reps, apparent=apparent)
-                else:
-                    point = correct(correction, d, recipe, "c-statistic",
-                                    plan, replicates=reps, apparent=apparent)
-                    est = two_stage_ci(d, recipe, "c-statistic", plan,
-                                       self.inner_B, correction, self.alpha,
-                                       point_result=point)
-                out[method] = (est.contains(self.model.true_auc), est.width)
+            result = validate(d, FitRecipe("ml"), C_STATISTIC, plan,
+                              methods=self.methods, inner_B=self.inner_B,
+                              alpha=self.alpha)
         except (ValueError, ArithmeticError):
             return None  # replication-level failure, recorded not fatal
-        return out
+        return {method: (est.contains(self.model.true_auc), est.width)
+                for method, est in zip(self.methods, result.intervals)}
 
 
 def run_scenario(spec: ScenarioSpec, methods, replications: int, B: int,

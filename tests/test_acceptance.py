@@ -23,13 +23,9 @@ from bootval.models import (FitRecipe, fit_ml, fit_penalized,
 from bootval.optimism import (ReplicateSet, harrell_from_replicates,
                               p632_from_replicates,
                               p632plus_from_replicates)
-from bootval.intervals import (apparent_bootstrap_ci, location_shifted_ci,
-                               two_stage_ci)
-from bootval.optimism import apparent_fit, evaluate_replicates
+from bootval.intervals import validate
 from bootval.oracles import auc_bruteforce, two_stage_reference
 from bootval.resampling import ResamplePlan, draw
-from bootval.models import predict
-from bootval.metrics import measure_value
 
 from conftest import make_dataset
 
@@ -126,16 +122,13 @@ def test_criterion_4_formula_identities_exact():
         d = make_dataset(400 + seed, n=70, p=3)
         recipe = FitRecipe("ml")
         plan = ResamplePlan(40, seed)
-        r = evaluate_replicates(d, recipe, "c-statistic", plan)
-        app_val = measure_value("c-statistic",
-                                predict(apparent_fit(d, recipe, plan), d),
-                                d.outcomes)
-        app = apparent_bootstrap_ci(d, recipe, "c-statistic", plan,
-                                    replicates=r, apparent=app_val)
-        for correction in ("harrell", "0.632", "0.632plus"):
-            ls = location_shifted_ci(d, recipe, "c-statistic", plan,
-                                     correction, replicates=r,
-                                     apparent=app_val)
+        corrections = ("harrell", "0.632", "0.632plus")
+        app, *shifted = validate(
+            d, recipe, "c-statistic", plan,
+            methods=["apparent", *(f"location-shift:{c}"
+                                   for c in corrections)]).intervals
+        for correction, ls in zip(corrections, shifted):
+            assert ls.correction == correction
             assert ls.lower == app.lower - ls.shift
             assert ls.upper == app.upper - ls.shift
             assert ls.width == app.width
@@ -148,8 +141,9 @@ def test_criterion_5_two_stage_oracle_equality():
     d = make_dataset(500, n=60, p=2)
     recipe = FitRecipe("ml")
     plan = ResamplePlan(50, 123)
-    est = two_stage_ci(d, recipe, "c-statistic", plan, 50, "harrell", 0.05,
-                       workers=1)
+    est = validate(d, recipe, "c-statistic", plan,
+                   methods=["two-stage:harrell"], inner_B=50, alpha=0.05,
+                   workers=1).intervals[0]
     ref = two_stage_reference(d, recipe, "harrell", 50, 50, 123, 0.05)
     assert (est.point, est.lower, est.upper) == ref
     assert time.monotonic() - t0 < 60.0
@@ -260,33 +254,28 @@ def test_criterion_8_gusto_reproduction(tmp_path):
     recipe = FitRecipe("ml")
     plan = ResamplePlan(2000, 1)
 
-    app8 = measure_value("c-statistic",
-                         predict(apparent_fit(d8, recipe, plan), d8),
-                         d8.outcomes)
-    app17 = measure_value("c-statistic",
-                          predict(apparent_fit(d17, recipe, plan), d17),
-                          d17.outcomes)
-    assert abs(app8 - 0.819) <= 0.001
-    assert abs(app17 - 0.832) <= 0.001
+    v8 = validate(d8, recipe, "c-statistic", plan, ["harrell"],
+                  ["delong", "location-shift:harrell", "two-stage:harrell"],
+                  inner_B=2000)
+    v17 = validate(d17, recipe, "c-statistic", plan, ["harrell"],
+                   ["delong"])
+    assert abs(v8.apparent - 0.819) <= 0.001
+    assert abs(v17.apparent - 0.832) <= 0.001
 
-    from bootval.intervals import delong_interval
-    dl8 = delong_interval(d8, recipe, plan)
+    dl8, ls8, ts8 = v8.intervals
     assert abs(dl8.lower - 0.783) <= 0.002
     assert abs(dl8.upper - 0.854) <= 0.002
-    dl17 = delong_interval(d17, recipe, plan)
+    dl17 = v17.intervals[0]
     assert abs(dl17.lower - 0.796) <= 0.002
     assert abs(dl17.upper - 0.867) <= 0.002
 
-    from bootval.optimism import harrell_correct
-    h8 = harrell_correct(d8, recipe, "c-statistic", plan)
-    h17 = harrell_correct(d17, recipe, "c-statistic", plan)
+    h8 = v8.corrections["harrell"]
+    h17 = v17.corrections["harrell"]
     assert abs(h8.corrected - 0.810) <= 0.003
     assert abs(h17.corrected - 0.811) <= 0.003
 
-    ls8 = location_shifted_ci(d8, recipe, "c-statistic", plan, "harrell")
     assert abs(ls8.lower - 0.777) <= 0.005
     assert abs(ls8.upper - 0.846) <= 0.005
-    ts8 = two_stage_ci(d8, recipe, "c-statistic", plan, 2000, "harrell")
     assert abs(ts8.lower - 0.777) <= 0.005
     assert abs(ts8.upper - 0.850) <= 0.005
 

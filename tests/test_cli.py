@@ -62,6 +62,40 @@ def test_validate_rejects_bad_config(csv_path, tmp_path, capsys):
                  "--output", out]) == 2
 
 
+def test_validate_rejects_suffixed_ci_method(csv_path, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    for methods in ("delong,two-stage:harrell", "apparent:harrell"):
+        assert run_validate(csv_path, out, "--ci-methods", methods) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_validate_calibration_slope_default_ci_methods(csv_path, tmp_path):
+    out = tmp_path / "slope.json"
+    assert run_validate(csv_path, out, "--measure", "calibration-slope",
+                        "--inner-B", "3") == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["ci_methods"] == [
+        "apparent", "location-shift", "two-stage"]
+    corrections = ["harrell", "0.632", "0.632plus"]
+    assert [(row["method"], row.get("correction"))
+            for row in report["intervals"]] == (
+        [("apparent", None)]
+        + [("location-shift", c) for c in corrections]
+        + [("two-stage", c) for c in corrections])
+
+
+def test_validate_interval_order_is_fixed(csv_path, tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run_validate(csv_path, a, "--inner-B", "3") == 0
+    assert run_validate(csv_path, b, "--inner-B", "3", "--ci-methods",
+                        "two-stage,location-shift,apparent,delong") == 0
+    rows_a = json.loads(a.read_text())["intervals"]
+    assert json.loads(b.read_text())["intervals"] == rows_a
+    assert [row["method"] for row in rows_a] == (
+        ["delong", "apparent"] + ["location-shift"] * 3 + ["two-stage"] * 3)
+
+
 def test_validate_missing_file_is_config_error(tmp_path, capsys):
     assert main(["validate", "--input", str(tmp_path / "nope.csv"),
                  "--outcome-column", "y", "--output", "-"]) == 2

@@ -4,15 +4,34 @@ import pytest
 from bootval.intervals import (APPARENT, DELONG, IntervalError,
                                IntervalEstimate, LOCATION_SHIFTED, TWO_STAGE,
                                apparent_bootstrap_ci, delong_interval,
-                               location_shifted_ci, two_stage_ci)
+                               location_shifted_ci, parse_method,
+                               two_stage_ci, validate)
 from bootval.metrics import C_STATISTIC, delong_ci, measure_value
 from bootval.models import FitRecipe, predict
-from bootval.optimism import METHODS, apparent_fit, evaluate_replicates
+from bootval.optimism import (METHODS, apparent_fit, correct,
+                              evaluate_replicates)
 from bootval.oracles import (location_shifted_reference, percentile_oracle,
                              two_stage_reference)
-from bootval.resampling import BootstrapDistribution, ResamplePlan
+from bootval.resampling import ResamplePlan
 
 from conftest import make_dataset
+
+
+def interval(d, recipe, plan, method, alpha=0.05, **kw):
+    """One interval through the validation pipeline."""
+    return validate(d, recipe, C_STATISTIC, plan, methods=[method],
+                    alpha=alpha, **kw).intervals[0]
+
+
+def test_parse_method():
+    assert parse_method("delong") == ("delong", None)
+    assert parse_method("two-stage:0.632plus") == ("two-stage", "0.632plus")
+    with pytest.raises(IntervalError):
+        parse_method("two-stage")  # correction required
+    with pytest.raises(IntervalError):
+        parse_method("delong:harrell")  # no correction allowed
+    with pytest.raises(IntervalError):
+        parse_method("waldo")
 
 
 def test_interval_estimate_invariants():
@@ -28,7 +47,8 @@ def test_delong_interval_wraps_metrics():
     recipe = FitRecipe("ml")
     plan = ResamplePlan(5, 1)
     scores = predict(apparent_fit(d, recipe, plan), d)
-    est = delong_interval(d, recipe, plan, 0.05, apparent_scores=scores)
+    est = delong_interval(scores, d.outcomes, 0.05)
+    assert interval(d, recipe, plan, DELONG) == est
     lo, hi = delong_ci(scores, d.outcomes, 0.05)
     assert (est.lower, est.upper) == (lo, hi)
     assert est.method == DELONG
@@ -39,9 +59,8 @@ def test_apparent_ci_matches_percentile_oracle_on_replicates():
     d = make_dataset(63, n=70, p=2)
     recipe = FitRecipe("ml")
     plan = ResamplePlan(60, 8)
-    reps = evaluate_replicates(d, recipe, C_STATISTIC, plan)
-    est = apparent_bootstrap_ci(d, recipe, C_STATISTIC, plan, 0.05,
-                                replicates=reps)
+    run = validate(d, recipe, C_STATISTIC, plan, methods=[APPARENT])
+    est, reps = run.intervals[0], run.replicates
     vals = reps.theta_boot[reps.valid]
     assert est.lower == percentile_oracle(vals, 0.025)
     assert est.upper == percentile_oracle(vals, 0.975)
@@ -56,11 +75,10 @@ def test_location_shift_identity_all_corrections():
     apparent = measure_value(C_STATISTIC,
                              predict(apparent_fit(d, recipe, plan), d),
                              d.outcomes)
-    app_ci = apparent_bootstrap_ci(d, recipe, C_STATISTIC, plan, 0.05,
-                                   replicates=reps, apparent=apparent)
+    app_ci = apparent_bootstrap_ci(apparent, reps, 0.05)
     for correction in METHODS:
-        est = location_shifted_ci(d, recipe, C_STATISTIC, plan, correction,
-                                  0.05, replicates=reps, apparent=apparent)
+        est = location_shifted_ci(
+            correct(correction, C_STATISTIC, apparent, reps), reps, 0.05)
         assert est.lower == app_ci.lower - est.shift
         assert est.upper == app_ci.upper - est.shift
         assert est.width == app_ci.width
@@ -75,13 +93,9 @@ def test_location_shift_zero_shift_equals_apparent():
     vals = np.linspace(0.6, 0.9, 10)
     reps = ReplicateSet(vals, vals.copy(), np.full(10, np.nan),
                         np.ones(10, dtype=bool), np.zeros(10, dtype=bool))
-    d = make_dataset(67, n=40, p=1)
-    plan = ResamplePlan(10, 1)
-    app = apparent_bootstrap_ci(d, FitRecipe("ml"), C_STATISTIC, plan,
-                                0.05, replicates=reps, apparent=0.75)
-    shifted = location_shifted_ci(d, FitRecipe("ml"), C_STATISTIC, plan,
-                                  "harrell", 0.05, replicates=reps,
-                                  apparent=0.75)
+    app = apparent_bootstrap_ci(0.75, reps, 0.05)
+    shifted = location_shifted_ci(correct("harrell", C_STATISTIC, 0.75, reps),
+                                  reps, 0.05)
     assert shifted.shift == 0.0
     assert (shifted.lower, shifted.upper) == (app.lower, app.upper)
 
@@ -90,7 +104,7 @@ def test_location_shift_matches_oracle():
     d = make_dataset(69, n=50, p=2)
     recipe = FitRecipe("ml")
     plan = ResamplePlan(30, 17)
-    est = location_shifted_ci(d, recipe, C_STATISTIC, plan, "harrell", 0.05)
+    est = interval(d, recipe, plan, "location-shift:harrell")
     ref = location_shifted_reference(d, recipe, "harrell", 30, 17, 0.05)
     assert (est.lower, est.upper) == ref
 
@@ -99,7 +113,7 @@ def test_two_stage_matches_oracle_exactly():
     d = make_dataset(71, n=60, p=2)
     recipe = FitRecipe("ml")
     plan = ResamplePlan(25, 19)
-    est = two_stage_ci(d, recipe, C_STATISTIC, plan, 25, "harrell", 0.05)
+    est = interval(d, recipe, plan, "two-stage:harrell", inner_B=25)
     ref = two_stage_reference(d, recipe, "harrell", 25, 25, 19, 0.05)
     assert (est.point, est.lower, est.upper) == ref
     assert est.method == TWO_STAGE
@@ -110,10 +124,10 @@ def test_two_stage_worker_count_invariance():
     d = make_dataset(73, n=50, p=2)
     recipe = FitRecipe("ml")
     plan = ResamplePlan(12, 23)
-    seq = two_stage_ci(d, recipe, C_STATISTIC, plan, 12, "harrell", 0.05,
-                       workers=1)
-    par = two_stage_ci(d, recipe, C_STATISTIC, plan, 12, "harrell", 0.05,
-                       workers=4)
+    seq = interval(d, recipe, plan, "two-stage:harrell", inner_B=12,
+                   workers=1)
+    par = interval(d, recipe, plan, "two-stage:harrell", inner_B=12,
+                   workers=4)
     assert (seq.point, seq.lower, seq.upper) == (par.point, par.lower,
                                                  par.upper)
 
@@ -121,20 +135,19 @@ def test_two_stage_worker_count_invariance():
 def test_two_stage_inner_b_validation():
     d = make_dataset(75, n=40, p=1)
     with pytest.raises(IntervalError):
-        two_stage_ci(d, FitRecipe("ml"), C_STATISTIC, ResamplePlan(5, 1),
-                     0, "harrell")
+        interval(d, FitRecipe("ml"), ResamplePlan(5, 1), "two-stage:harrell",
+                 inner_B=0)
 
 
 def test_two_stage_point_is_original_data_corrected_value():
     d = make_dataset(77, n=50, p=2)
     recipe = FitRecipe("ml")
     plan = ResamplePlan(15, 29)
-    from bootval.optimism import correct
-    point = correct("harrell", d, recipe, C_STATISTIC, plan)
-    est = two_stage_ci(d, recipe, C_STATISTIC, plan, 10, "harrell", 0.05,
-                       point_result=point)
-    est2 = two_stage_ci(d, recipe, C_STATISTIC, plan, 10, "harrell", 0.05)
-    assert est.point == point.corrected == est2.point
+    run = validate(d, recipe, C_STATISTIC, plan, ["harrell"],
+                   ["two-stage:harrell"], inner_B=10)
+    point = correct("harrell", C_STATISTIC, run.apparent, run.replicates)
+    est = run.intervals[0]
+    assert est.point == point.corrected == run.corrections["harrell"].corrected
 
 
 def test_two_stage_wider_than_location_shift_on_average():
@@ -145,8 +158,10 @@ def test_two_stage_wider_than_location_shift_on_average():
         d = make_dataset(1000 + seed, n=60, p=3)
         recipe = FitRecipe("ml")
         plan = ResamplePlan(30, seed)
-        ls = location_shifted_ci(d, recipe, C_STATISTIC, plan, "harrell")
-        ts = two_stage_ci(d, recipe, C_STATISTIC, plan, 30, "harrell")
+        ls, ts = validate(d, recipe, C_STATISTIC, plan,
+                          methods=["location-shift:harrell",
+                                   "two-stage:harrell"],
+                          inner_B=30).intervals
         widths_ls.append(ls.width)
         widths_ts.append(ts.width)
     assert np.mean(widths_ts) > np.mean(widths_ls)
@@ -165,3 +180,23 @@ def test_reference_rejects_large_instances():
     d = make_dataset(81, n=60, p=1)
     with pytest.raises(ValueError, match="small instances"):
         two_stage_reference(d, FitRecipe("ml"), "harrell", 200, 200, 1)
+
+
+def test_two_stage_all_outer_invalid_is_fatal():
+    reps = evaluate_replicates(make_dataset(83, n=40, p=1), FitRecipe("ml"),
+                               C_STATISTIC, ResamplePlan(5, 1))
+    point = correct("harrell", C_STATISTIC, 0.7, reps)
+    with pytest.raises(IntervalError, match="all outer replicates invalid"):
+        two_stage_ci(point, np.full(3, np.nan), 2)
+
+
+def test_two_stage_shares_one_outer_map_across_corrections():
+    """Each two-stage interval equals the one computed on its own."""
+    d = make_dataset(85, n=50, p=2)
+    recipe = FitRecipe("ml")
+    plan = ResamplePlan(10, 31)
+    specs = [f"two-stage:{c}" for c in METHODS]
+    together = validate(d, recipe, C_STATISTIC, plan, methods=specs,
+                        inner_B=8).intervals
+    for spec, est in zip(specs, together):
+        assert est == interval(d, recipe, plan, spec, inner_B=8)

@@ -3,12 +3,12 @@ import pytest
 
 from bootval.metrics import C_STATISTIC, no_information
 from bootval.models import FitRecipe, predict
+from bootval.intervals import validate
 from bootval.optimism import (HARRELL, P632, P632PLUS, OptimismError,
                               OptimismResult, ReplicateSet, apparent_fit,
                               correct, evaluate_replicates,
-                              harrell_correct, harrell_from_replicates,
-                              p632_correct, p632_from_replicates,
-                              p632plus_correct, p632plus_from_replicates)
+                              harrell_from_replicates, p632_from_replicates,
+                              p632plus_from_replicates)
 from bootval.oracles import _corrected_reference
 from bootval.resampling import ResamplePlan
 
@@ -115,21 +115,20 @@ def test_corrections_share_replicates_and_match_oracle():
                              predict(apparent_fit(d, recipe, plan), d),
                              d.outcomes)
     for method in (HARRELL, P632, P632PLUS):
-        fast = correct(method, d, recipe, C_STATISTIC, plan,
-                       replicates=reps, apparent=apparent)
+        fast = correct(method, C_STATISTIC, apparent, reps)
         oracle = _corrected_reference(d, recipe, method, plan)
         assert fast.corrected == oracle
-        # end-to-end wrappers agree with the shared-replicate path
-        wrapper = {HARRELL: harrell_correct, P632: p632_correct,
-                   P632PLUS: p632plus_correct}[method]
-        assert wrapper(d, recipe, C_STATISTIC, plan).corrected == oracle
+        # the end-to-end pipeline agrees with the shared-replicate path
+        run = validate(d, recipe, C_STATISTIC, plan, corrections=[method])
+        assert run.corrections[method].corrected == oracle
 
 
 def test_correct_is_deterministic():
     d = make_dataset(53, n=60, p=3)
     plan = ResamplePlan(20, 5)
-    a = harrell_correct(d, FitRecipe("ml"), C_STATISTIC, plan)
-    b = harrell_correct(d, FitRecipe("ml"), C_STATISTIC, plan)
+    a, b = (validate(d, FitRecipe("ml"), C_STATISTIC, plan,
+                     corrections=[HARRELL]).corrections[HARRELL]
+            for _ in range(2))
     assert a.corrected == b.corrected and a.optimism == b.optimism
 
 
@@ -149,9 +148,13 @@ def test_worker_count_invariance():
 
 def test_unknown_method_rejected():
     d = make_dataset(57, n=30, p=1)
+    reps = evaluate_replicates(d, FitRecipe("ml"), C_STATISTIC,
+                               ResamplePlan(5, 1))
     with pytest.raises(OptimismError, match="unknown correction"):
-        correct("jackknife", d, FitRecipe("ml"), C_STATISTIC,
-                ResamplePlan(5, 1))
+        correct("jackknife", C_STATISTIC, 0.8, reps)
+    with pytest.raises(OptimismError, match="unknown correction"):
+        validate(d, FitRecipe("ml"), C_STATISTIC, ResamplePlan(5, 1),
+                 corrections=["jackknife"])
 
 
 def test_no_valid_replicates_is_fatal():

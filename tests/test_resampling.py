@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bootval.oracles import percentile_oracle
-from bootval.resampling import (BootstrapDistribution, ReplicateInvalid,
-                                ResamplePlan, ResamplingError, draw,
-                                inner_level, map_indices,
-                                percentile_interval, quantile_type7,
-                                run_replicates, stream)
+from bootval.resampling import (BootstrapDistribution, ResamplePlan,
+                                ResamplingError, draw, inner_level,
+                                map_indices, percentile_interval,
+                                quantile_type7, stream)
 
 
 def test_plan_validation():
@@ -136,40 +135,30 @@ class _SeedSensitiveTask:
 class _SometimesInvalid:
     def __call__(self, r):
         if r % 3 == 0:
-            raise ReplicateInvalid
+            return np.nan
         return float(r)
 
 
-def test_run_replicates_constant_task():
-    dist = run_replicates(ResamplePlan(10, 1), _ConstantTask())
-    assert np.array_equal(dist.values, np.full(10, 0.7))
-    assert dist.valid_mask.all()
+def test_map_indices_constant_task():
+    values = map_indices(10, _ConstantTask())
+    assert np.array_equal(values, np.full(10, 0.7))
+    assert np.isfinite(values).all()
 
 
-def test_run_replicates_worker_count_invariance():
+def test_map_indices_worker_count_invariance():
     plan = ResamplePlan(24, 77)
     task = _SeedSensitiveTask(plan, 100)
-    seq = run_replicates(plan, task, workers=1)
-    par = run_replicates(plan, task, workers=4)
-    assert np.array_equal(seq.values, par.values)
-    assert np.array_equal(seq.valid_mask, par.valid_mask)
+    seq = map_indices(plan.B, task, workers=1)
+    par = map_indices(plan.B, task, workers=4)
+    assert np.array_equal(seq, par)
 
 
-def test_run_replicates_marks_invalid_without_aborting():
-    dist = run_replicates(ResamplePlan(9, 1), _SometimesInvalid())
-    assert int(dist.valid_mask.sum()) == 6
-    assert np.array_equal(np.sort(dist.valid_values()),
+def test_map_indices_nan_marks_invalid():
+    values = map_indices(9, _SometimesInvalid())
+    valid = ~np.isnan(values)
+    assert int(valid.sum()) == 6
+    assert np.array_equal(np.sort(values[valid]),
                           [1.0, 2.0, 4.0, 5.0, 7.0, 8.0])
-
-
-class _AlwaysInvalid:
-    def __call__(self, r):
-        raise ReplicateInvalid
-
-
-def test_run_replicates_all_invalid_is_fatal():
-    with pytest.raises(ResamplingError, match="all replicates invalid"):
-        run_replicates(ResamplePlan(3, 1), _AlwaysInvalid())
 
 
 class _Square:
@@ -177,10 +166,18 @@ class _Square:
         return float(r * r)
 
 
+class _Row:
+    def __call__(self, r):
+        return [float(r), np.nan if r % 2 else -float(r)]
+
+
 def test_map_indices_results_keyed_by_index():
-    values, valid = map_indices(6, _Square(), workers=3)
+    values = map_indices(6, _Square(), workers=3)
     assert np.array_equal(values, [0.0, 1.0, 4.0, 9.0, 16.0, 25.0])
-    assert valid.all()
+    rows = map_indices(5, _Row(), workers=2)
+    assert rows.shape == (5, 2)
+    assert np.array_equal(rows[:, 0], np.arange(5.0))
+    assert np.array_equal(np.isnan(rows[:, 1]), [False, True] * 2 + [False])
 
 
 def test_oob_fraction_near_e_inverse():

@@ -7,7 +7,7 @@ from bootval.simulation import (BINARY_NAMES, COLUMN_NAMES,
                                 calibrate_intercept, coverage_to_csv,
                                 coverage_to_json, CoverageResult, derive_n,
                                 estimate_true_auc, generate_cohort,
-                                parse_method, read_scenario_params,
+                                read_scenario_params,
                                 true_risk_score, write_scenario_params)
 from bootval.metrics import c_statistic_value
 from bootval.resampling import stream
@@ -28,17 +28,6 @@ def test_scenario_spec_by_id_and_validation():
         ScenarioSpec.by_id(25)
     with pytest.raises(SimulationError):
         ScenarioSpec(1, 20, 0.125, 8, 1)  # wrong EPV for scenario 1
-
-
-def test_parse_method():
-    assert parse_method("delong") == ("delong", None)
-    assert parse_method("two-stage:0.632plus") == ("two-stage", "0.632plus")
-    with pytest.raises(SimulationError):
-        parse_method("two-stage")  # correction required
-    with pytest.raises(SimulationError):
-        parse_method("delong:harrell")  # no correction allowed
-    with pytest.raises(SimulationError):
-        parse_method("waldo")
 
 
 def test_default_config_loads_and_is_consistent():
