@@ -52,6 +52,14 @@ CASES = {
                                   "--penalty", "0.5", "--B", "8",
                                   "--inner-B", "4", "--seed", "3"),
                        ("report.json",)),
+    "validate_ridge_cv": (*_validate(cohort_80, "--estimator", "ridge",
+                                     "--ci-methods",
+                                     "delong,apparent,location-shift",
+                                     "--B", "3", "--seed", "3"),
+                          ("report.json",)),
+    "validate_lasso_cv": (*_validate(cohort_80, "--estimator", "lasso",
+                                     "--B", "2", "--inner-B", "2",
+                                     "--seed", "3"), ("report.json",)),
     "validate_rare": (*_validate(cohort_rare, "--B", "40", "--inner-B", "2",
                                  "--seed", "3"), ("report.json",)),
     "simulate_s1": (None, ["simulate", "--scenarios", "1", "--methods",
