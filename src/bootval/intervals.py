@@ -130,8 +130,10 @@ def two_stage_ci(result: OptimismResult, values: np.ndarray, inner_B: int,
 def _bootstrap(d: Dataset, recipe: FitRecipe, measure: str,
                plan: ResamplePlan, workers: int = 1):
     """The bootstrap every correction and interval shares: the apparent
-    risk scores, the apparent value and the replicate set."""
-    scores = predict(apparent_fit(d, recipe, plan), d)
+    risk scores, the apparent value and the replicate set. Only a top-level
+    call passes workers > 1: the replicates and outer tasks already run in
+    pool workers, and there the apparent fit's folds run inline."""
+    scores = predict(apparent_fit(d, recipe, plan, workers), d)
     apparent = measure_value(measure, scores, d.outcomes)
     return scores, apparent, evaluate_replicates(d, recipe, measure, plan,
                                                  workers=workers)

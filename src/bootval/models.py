@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .data import Dataset
+from .data import DataError, Dataset
+from .resampling import map_records
 
 # Linear predictors are clipped here before the logistic transform so
 # probabilities stay strictly inside (0,1) in float64 even for capped
@@ -166,6 +167,12 @@ def lasso_lambda_max(d: Dataset) -> float:
     return float(np.max(np.abs(xs.T @ (d.outcomes - ybar))))
 
 
+def _python_floats(values: np.ndarray) -> list:
+    """values as Python floats, except that zeros stay NumPy scalars: x / 0
+    then gives NumPy's inf or NaN, where a Python float would raise."""
+    return [float(v) if v else v for v in values]
+
+
 def _cd_penalized(y, xs, kind, lam, a0, b, max_iter, tol):
     """Cyclic coordinate descent on the IRLS quadratic approximation.
 
@@ -173,6 +180,10 @@ def _cd_penalized(y, xs, kind, lam, a0, b, max_iter, tol):
     intercept unpenalized, xs pre-standardized. Updates (a0, b) in place
     and returns (a0, b, converged, iterations)."""
     n, p = xs.shape
+    lasso = kind == "lasso"
+    a0 = float(a0)
+    xcols = np.ascontiguousarray(xs.T)
+    buf = np.empty(n)
     eta = a0 + xs @ b
     ll = float(y @ eta) - _sum_log1pexp(eta)
     pen = lam * (np.sum(b * b) if kind == "ridge" else np.sum(np.abs(b)))
@@ -185,28 +196,54 @@ def _cd_penalized(y, xs, kind, lam, a0, b, max_iter, tol):
         # inner CD on the weighted least-squares surrogate
         wx = w[:, None] * xs
         denom = np.einsum("ij,ij->j", wx, xs)
-        wsum = w.sum()
+        wsum = float(w.sum())
         r = zresp - eta  # residual of the surrogate at current coefficients
+        # The fitted bits are pinned, so every floating-point operation is
+        # the one NumPy scalars would do; only the interpreter's work around
+        # them is cut. The scalars are Python floats, which round the same
+        # way and cost less per operation. The dot stays the strided
+        # wx[:, j] @ r: a contiguous copy makes OpenBLAS take another kernel
+        # and changes the sum. The residual update may read contiguous
+        # columns, since an elementwise product rounds the same either way.
+        dots = [wx[:, j].dot for j in range(p)]
+        dl = _python_floats(denom)
+        div = dl if lasso else _python_floats(denom + 2.0 * lam)
+        bl = b.tolist()
         for _ in range(1000):
             delta_max = 0.0
             for j in range(p):
-                bj_old = b[j]
-                rho = wx[:, j] @ r + denom[j] * bj_old
-                if kind == "ridge":
-                    bj = rho / (denom[j] + 2.0 * lam)
+                bj_old = bl[j]
+                rho = float(dots[j](r)) + dl[j] * bj_old
+                if lasso:
+                    # np.sign(rho) * max(abs(rho) - lam, 0.0) / denom[j]
+                    if rho > 0.0:
+                        sign = 1.0
+                    elif rho < 0.0:
+                        sign = -1.0
+                    else:  # a zero or NaN
+                        sign = float(np.sign(rho))
+                    shrunk = abs(rho) - lam
+                    bj = sign * (0.0 if shrunk < 0.0 else shrunk) / div[j]
                 else:
-                    bj = np.sign(rho) * max(abs(rho) - lam, 0.0) / denom[j]
+                    bj = rho / div[j]
                 if bj != bj_old:
-                    r -= (bj - bj_old) * xs[:, j]
-                    b[j] = bj
-                    delta_max = max(delta_max, abs(bj - bj_old))
-            a_new = a0 + (w @ r) / wsum
+                    delta = bj - bj_old
+                    np.multiply(xcols[j], delta, out=buf)
+                    r -= buf
+                    bl[j] = bj
+                    delta = abs(delta)
+                    if delta > delta_max:
+                        delta_max = delta
+            a_new = a0 + float(w @ r) / wsum
             if a_new != a0:
                 r -= a_new - a0
-                delta_max = max(delta_max, abs(a_new - a0))
+                delta = abs(a_new - a0)
+                if delta > delta_max:
+                    delta_max = delta
                 a0 = a_new
             if delta_max < 1e-12:
                 break
+        b[:] = bl
         eta = a0 + xs @ b
         ll = float(y @ eta) - _sum_log1pexp(eta)
         pen = lam * (np.sum(b * b) if kind == "ridge" else np.sum(np.abs(b)))
@@ -232,8 +269,11 @@ def lambda_grid(d: Dataset, recipe: FitRecipe) -> np.ndarray:
 
 
 def fit_penalized(d: Dataset, recipe: FitRecipe,
-                  fold_rng: np.random.Generator | None = None) -> FittedModel:
-    """Ridge or lasso logistic fit at a fixed or CV-selected lambda."""
+                  fold_rng: np.random.Generator | None = None,
+                  workers: int = 1) -> FittedModel:
+    """Ridge or lasso logistic fit at a fixed or CV-selected lambda. The CV
+    folds' paths run across `workers` processes; the selected lambda does
+    not depend on the worker count."""
     d.check_fittable()
     if recipe.estimator not in ("ridge", "lasso"):
         raise FitError("fit_penalized requires a ridge or lasso recipe")
@@ -243,20 +283,38 @@ def fit_penalized(d: Dataset, recipe: FitRecipe,
     if fold_rng is None:
         raise FitError("CV-selected penalty requires a fold rng")
     grid = lambda_grid(d, recipe)
-    folds = _fold_assignment(d.n, recipe.cv_folds, fold_rng)
+    task = _FoldPathTask(d, recipe, grid,
+                         _fold_assignment(d.n, recipe.cv_folds, fold_rng))
     cv_dev = np.zeros(grid.size)
-    for k in range(recipe.cv_folds):
-        train = d.subset(np.flatnonzero(folds != k))
-        test = d.subset(np.flatnonzero(folds == k))
-        try:
-            train.check_fittable()
-        except Exception:
-            continue  # degenerate fold: skip its contribution
-        for i, model in enumerate(_fit_path(train, recipe, grid)):
-            cv_dev[i] += _deviance(model, test)
+    for row in map_records(recipe.cv_folds, task, workers=workers):
+        if row is not None:
+            cv_dev += row
     best = grid[int(np.argmin(cv_dev))]
     model = _fit_at_lambda(d, recipe, float(best))
     return model
+
+
+class _FoldPathTask:
+    """Picklable CV fold k: the held-out deviance of each lambda of the path
+    fitted on the other folds, or None when that training set cannot be
+    fitted (the fold then adds nothing)."""
+
+    def __init__(self, d: Dataset, recipe: FitRecipe, grid: np.ndarray,
+                 folds: np.ndarray):
+        self.d = d
+        self.recipe = recipe
+        self.grid = grid
+        self.folds = folds
+
+    def __call__(self, k: int) -> np.ndarray | None:
+        train = self.d.subset(np.flatnonzero(self.folds != k))
+        test = self.d.subset(np.flatnonzero(self.folds == k))
+        try:
+            train.check_fittable()
+        except DataError:
+            return None
+        return np.array([_deviance(model, test) for model in
+                         _fit_path(train, self.recipe, self.grid)])
 
 
 def _fold_assignment(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -315,13 +373,15 @@ def penalized_objective(model: FittedModel, d: Dataset) -> float:
 
 
 def fit(d: Dataset, recipe: FitRecipe,
-        fold_rng: np.random.Generator | None = None) -> FittedModel:
+        fold_rng: np.random.Generator | None = None,
+        workers: int = 1) -> FittedModel:
     """Dispatch on the recipe's estimator. The single entry point used by
     the bootstrap engine, so the full model-development process (including
-    any penalty tuning) is what gets resampled."""
+    any penalty tuning) is what gets resampled. `workers` spreads a CV
+    penalty's folds across processes."""
     if recipe.estimator == "ml":
         return fit_ml(d, recipe)
-    return fit_penalized(d, recipe, fold_rng=fold_rng)
+    return fit_penalized(d, recipe, fold_rng=fold_rng, workers=workers)
 
 
 def predict(m: FittedModel, d: Dataset) -> RiskScores:

@@ -47,11 +47,12 @@ class ReplicateSet:
         return self.theta_boot.shape[0]
 
 
-def apparent_fit(d: Dataset, recipe: FitRecipe, plan: ResamplePlan):
+def apparent_fit(d: Dataset, recipe: FitRecipe, plan: ResamplePlan,
+                 workers: int = 1):
     """Fit the recipe on the original data (deterministic CV stream keyed
     under the plan's level so nested runs never share fold draws)."""
     fold_rng = stream(plan.seed, *plan.level, 0)
-    return fit(d, recipe, fold_rng=fold_rng)
+    return fit(d, recipe, fold_rng=fold_rng, workers=workers)
 
 
 def two_class_draw(d: Dataset, plan: ResamplePlan, r: int):
