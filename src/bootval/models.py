@@ -198,13 +198,11 @@ def _cd_penalized(y, xs, kind, lam, a0, b, max_iter, tol):
         denom = np.einsum("ij,ij->j", wx, xs)
         wsum = float(w.sum())
         r = zresp - eta  # residual of the surrogate at current coefficients
-        # The fitted bits are pinned, so every floating-point operation is
-        # the one NumPy scalars would do; only the interpreter's work around
-        # them is cut. The scalars are Python floats, which round the same
-        # way and cost less per operation. The dot stays the strided
+        # The fitted bits are pinned. Python floats round as NumPy scalars do
+        # at a fraction of the cost per operation. The dot stays the strided
         # wx[:, j] @ r: a contiguous copy makes OpenBLAS take another kernel
-        # and changes the sum. The residual update may read contiguous
-        # columns, since an elementwise product rounds the same either way.
+        # and changes the sum. An elementwise product rounds the same for
+        # any layout, so the residual update reads contiguous columns.
         dots = [wx[:, j].dot for j in range(p)]
         dl = _python_floats(denom)
         div = dl if lasso else _python_floats(denom + 2.0 * lam)
@@ -215,13 +213,10 @@ def _cd_penalized(y, xs, kind, lam, a0, b, max_iter, tol):
                 bj_old = bl[j]
                 rho = float(dots[j](r)) + dl[j] * bj_old
                 if lasso:
-                    # np.sign(rho) * max(abs(rho) - lam, 0.0) / denom[j]
-                    if rho > 0.0:
-                        sign = 1.0
-                    elif rho < 0.0:
-                        sign = -1.0
-                    else:  # a zero or NaN
-                        sign = float(np.sign(rho))
+                    # np.sign(rho) * max(abs(rho) - lam, 0.0) / denom[j];
+                    # np.sign itself only for a zero or NaN
+                    sign = (1.0 if rho > 0.0 else -1.0 if rho < 0.0
+                            else float(np.sign(rho)))
                     shrunk = abs(rho) - lam
                     bj = sign * (0.0 if shrunk < 0.0 else shrunk) / div[j]
                 else:
@@ -232,14 +227,12 @@ def _cd_penalized(y, xs, kind, lam, a0, b, max_iter, tol):
                     r -= buf
                     bl[j] = bj
                     delta = abs(delta)
-                    if delta > delta_max:
+                    if delta > delta_max:  # max() costs a call per visit
                         delta_max = delta
             a_new = a0 + float(w @ r) / wsum
             if a_new != a0:
                 r -= a_new - a0
-                delta = abs(a_new - a0)
-                if delta > delta_max:
-                    delta_max = delta
+                delta_max = max(delta_max, abs(a_new - a0))
                 a0 = a_new
             if delta_max < 1e-12:
                 break
