@@ -19,8 +19,9 @@ import numpy as np
 from .data import Dataset
 from .metrics import delong_ci, measure_value
 from .models import FitRecipe, predict
-from .optimism import (METHODS, OptimismResult, ReplicateSet, apparent_fit,
-                       correct, evaluate_replicates, two_class_draw)
+from .optimism import (METHODS, OOB_METHODS, OptimismResult, ReplicateSet,
+                       apparent_fit, correct, evaluate_replicates,
+                       kernel_patterns, two_class_draw)
 from .resampling import (BootstrapDistribution, ResamplePlan, inner_level,
                          map_indices, percentile_interval)
 
@@ -128,31 +129,39 @@ def two_stage_ci(result: OptimismResult, values: np.ndarray, inner_B: int,
 
 
 def _bootstrap(d: Dataset, recipe: FitRecipe, measure: str,
-               plan: ResamplePlan, workers: int = 1):
+               plan: ResamplePlan, workers: int = 1, patterns=None,
+               oob: bool = True):
     """The bootstrap every correction and interval shares: the apparent
-    risk scores, the apparent value and the replicate set. Only a top-level
-    call passes workers > 1: the replicates and outer tasks already run in
-    pool workers, and there the apparent fit's folds run inline."""
+    risk scores, the apparent value and the replicate set (see
+    evaluate_replicates for patterns and oob). Only a top-level call passes
+    workers > 1: the replicates and outer tasks already run in pool
+    workers, and there the apparent fit's folds run inline."""
     scores = predict(apparent_fit(d, recipe, plan, workers), d)
     apparent = measure_value(measure, scores, d.outcomes)
-    return scores, apparent, evaluate_replicates(d, recipe, measure, plan,
-                                                 workers=workers)
+    return scores, apparent, evaluate_replicates(
+        d, recipe, measure, plan, workers=workers, patterns=patterns,
+        oob=oob)
 
 
 class _TwoStageOuterTask:
     """Outer replicate task: treat the resample as a derivation dataset, run
     the shared bootstrap on it with an inner plan keyed to the outer
     replicate index, and return each correction's value, NaN where it is
-    undefined."""
+    undefined. The inner bootstrap restricts d's kernel patterns, if any,
+    to the resample, and grades out-of-bag sets only for a 0.632-family
+    correction."""
 
     def __init__(self, d: Dataset, recipe: FitRecipe, measure: str,
-                 outer_plan: ResamplePlan, inner_B: int, corrections):
+                 outer_plan: ResamplePlan, inner_B: int, corrections,
+                 patterns):
         self.d = d
         self.recipe = recipe
         self.measure = measure
         self.outer_plan = outer_plan
         self.inner_B = inner_B
         self.corrections = tuple(corrections)
+        self.patterns = patterns
+        self.oob = any(c in OOB_METHODS for c in self.corrections)
 
     def __call__(self, b: int) -> list[float]:
         d, plan = self.d, self.outer_plan
@@ -162,9 +171,12 @@ class _TwoStageOuterTask:
             return values
         inner_plan = ResamplePlan(self.inner_B, plan.seed,
                                   level=inner_level(b))
+        patterns = (None if self.patterns is None
+                    else self.patterns.restrict(rs.indices))
         try:
-            _, apparent, reps = _bootstrap(d.subset(rs.indices), self.recipe,
-                                           self.measure, inner_plan)
+            _, apparent, reps = _bootstrap(
+                d.subset(rs.indices), self.recipe, self.measure, inner_plan,
+                patterns=patterns, oob=self.oob)
         except ValueError:
             return values
         for i, correction in enumerate(self.corrections):
@@ -202,12 +214,14 @@ def validate(d: Dataset, recipe: FitRecipe, measure: str, plan: ResamplePlan,
     two_stage = list(dict.fromkeys(c for k, c in parsed if k == TWO_STAGE))
     if two_stage and (inner_B is None or inner_B < 1):
         raise IntervalError("inner_B must be >= 1")
-    scores, apparent, reps = _bootstrap(d, recipe, measure, plan, workers)
+    patterns = kernel_patterns(d, recipe, measure)
+    scores, apparent, reps = _bootstrap(d, recipe, measure, plan, workers,
+                                        patterns)
     results = {c: correct(c, measure, apparent, reps) for c in
                dict.fromkeys([*corrections, *(c for _, c in parsed if c)])}
     if two_stage:
         task = _TwoStageOuterTask(d, recipe, measure, plan, inner_B,
-                                  two_stage)
+                                  two_stage, patterns)
         outer = dict(zip(two_stage,
                          map_indices(plan.B, task, workers=workers).T))
     intervals = []

@@ -8,6 +8,14 @@ distinct risk scores. Both are computed here for a block of replicates at
 once: the Newton-Raphson iterations of a block run in lockstep, and each
 replicate keeps the step-halving and stopping rule of models._newton_irls.
 
+optimism._CountsBlockTask feeds the kernel one block at a time. It draws
+the block's resamples with resampling.draw_block and redraws, one by one,
+only those without both outcome classes. It counts the out-of-bag rows and
+grades them only when a 0.632-family correction will read them (always at
+the top level; inside a two-stage outer replicate only for 0.632 or
+0.632+). An outer replicate's patterns are restricted from the dataset's
+(Patterns.restrict) instead of being built again.
+
 The coefficients agree with a fit on the materialised resample to rounding
 (about 1e-14), and a C-statistic is an exact ratio of half-integer rank
 sums, so replicate values equal those of a per-resample fit unless two
@@ -15,6 +23,8 @@ distinct risk scores lie within rounding of each other.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -31,29 +41,64 @@ class Patterns:
         uniq, index = np.unique(d.predictors, axis=0, return_inverse=True)
         self.index = index.ravel()
         self.outcomes = d.outcomes
-        self.k = uniq.shape[0]
-        self.z = np.hstack([np.ones((self.k, 1)), uniq])
-        q = self.z.shape[1]
-        self._triu = np.triu_indices(q)
-        self._tril = (self._triu[1], self._triu[0])
-        self._zz = np.ascontiguousarray(
-            self.z[:, self._triu[0]] * self.z[:, self._triu[1]])
+        self.z = np.hstack([np.ones((uniq.shape[0], 1)), uniq])
+
+    @property
+    def k(self) -> int:
+        return self.z.shape[0]
+
+    def restrict(self, rows: np.ndarray) -> "Patterns":
+        """The patterns of the resample d.subset(rows), equal array for
+        array to Patterns(d.subset(rows)) without comparing rows again: a
+        subset's distinct rows are a sorted subset of the dataset's."""
+        pat = object.__new__(Patterns)
+        keep, pat.index = np.unique(self.index[rows], return_inverse=True)
+        pat.outcomes, pat.z = self.outcomes[rows], self.z[keep]
+        return pat
+
+    @cached_property
+    def _zz(self):
+        i, j = np.triu_indices(self.z.shape[1])
+        return np.ascontiguousarray(self.z[:, i] * self.z[:, j])
+
+    def __getstate__(self):
+        # _zz is the largest part and follows from z: a pool worker that
+        # receives patterns builds it again only if it fits with them
+        return {k: v for k, v in self.__dict__.items() if k != "_zz"}
+
+    def _tally(self, r, rep, rows):
+        cell = (rep * self.k + self.index[rows]).ravel()
+        events = np.bincount(cell, weights=self.outcomes[rows].ravel(),
+                             minlength=r * self.k)
+        trials = np.bincount(cell, minlength=r * self.k).astype(np.float64)
+        return events.reshape(r, self.k), trials.reshape(r, self.k)
 
     def counts(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(events, trials) per pattern over the given row indices, which
-        may repeat."""
-        pat = self.index[rows]
-        return (np.bincount(pat, weights=self.outcomes[rows],
-                            minlength=self.k),
-                np.bincount(pat, minlength=self.k).astype(np.float64))
+        may repeat: k-vectors for a vector of indices, (R, k) matrices for
+        an (R, m) matrix of them, one row per row."""
+        if rows.ndim == 1:
+            events, trials = self.counts(rows[None])
+            return events[0], trials[0]
+        return self._tally(rows.shape[0], np.arange(rows.shape[0])[:, None],
+                           rows)
+
+    def counts_outside(self, rows: np.ndarray):
+        """counts of the rows each row of the (R, m) matrix rows leaves
+        out: a resample's out-of-bag set, in (R, k) matrices."""
+        r, n = rows.shape[0], self.index.shape[0]
+        out = np.ones(r * n, dtype=bool)
+        out[(rows + (np.arange(r) * n)[:, None]).ravel()] = False
+        return self._tally(r, *np.divmod(np.flatnonzero(out), n))
 
     def hessians(self, weights: np.ndarray) -> np.ndarray:
         """Z^T diag(w_r) Z for each row w_r of weights."""
         q = self.z.shape[1]
+        i, j = np.triu_indices(q)
         upper = weights @ self._zz
         h = np.empty((weights.shape[0], q, q))
-        h[:, self._triu[0], self._triu[1]] = upper
-        h[:, self._tril[0], self._tril[1]] = upper
+        h[:, i, j] = upper
+        h[:, j, i] = upper
         return h
 
 

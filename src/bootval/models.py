@@ -282,7 +282,10 @@ def fit_penalized(d: Dataset, recipe: FitRecipe,
     for row in map_records(recipe.cv_folds, task, workers=workers):
         if row is not None:
             cv_dev += row
-    best = grid[int(np.argmin(cv_dev))]
+    finite = np.isfinite(cv_dev)
+    if not finite.any():
+        raise FitError("no lambda has a finite cross-validated deviance")
+    best = grid[int(np.argmin(np.where(finite, cv_dev, np.inf)))]
     model = _fit_at_lambda(d, recipe, float(best))
     return model
 
@@ -318,33 +321,32 @@ def _fold_assignment(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _fit_path(d: Dataset, recipe: FitRecipe, grid: np.ndarray):
-    """Fit along a descending lambda grid with warm starts."""
+    """Fit along a descending lambda grid with warm starts. A column that
+    takes one value gets slope 0: coordinate descent would divide 0 by 0
+    on it. The design stays in C order, which pins the descent's bits."""
     xs, mu, sd = _standardize(d.predictors)
+    live = np.ptp(d.predictors, axis=0) > 0
+    xs = np.ascontiguousarray(xs[:, live])
     ybar = float(d.outcomes.mean())
     a0 = float(np.log(ybar / (1.0 - ybar)))
-    b = np.zeros(d.p)
+    b = np.zeros(xs.shape[1])
     out = []
     for lam in grid:
         a0, b, conv, it = _cd_penalized(
             d.outcomes, xs, recipe.estimator, float(lam), a0, b,
             recipe.max_iter, recipe.tol)
-        out.append(_back_transform(recipe.estimator, a0, b, mu, sd,
+        out.append(_back_transform(recipe.estimator, a0, b, live, mu, sd,
                                    float(lam), conv, it))
     return out
 
 
 def _fit_at_lambda(d: Dataset, recipe: FitRecipe, lam: float) -> FittedModel:
-    xs, mu, sd = _standardize(d.predictors)
-    ybar = float(d.outcomes.mean())
-    a0 = float(np.log(ybar / (1.0 - ybar)))
-    b = np.zeros(d.p)
-    a0, b, conv, it = _cd_penalized(d.outcomes, xs, recipe.estimator, lam,
-                                    a0, b, recipe.max_iter, recipe.tol)
-    return _back_transform(recipe.estimator, a0, b, mu, sd, lam, conv, it)
+    return _fit_path(d, recipe, np.array([lam]))[0]
 
 
-def _back_transform(kind, a0, b, mu, sd, lam, converged, iterations):
-    slopes = b / sd
+def _back_transform(kind, a0, b, live, mu, sd, lam, converged, iterations):
+    slopes = np.zeros(live.shape[0])
+    slopes[live] = b / sd[live]
     intercept = a0 - float(slopes @ mu)
     return FittedModel(kind, float(intercept), slopes, penalty=lam,
                        converged=converged, iterations=iterations)

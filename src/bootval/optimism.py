@@ -17,12 +17,14 @@ from .data import Dataset
 from .kernel import Patterns, c_statistics, fit_ml_counts, risk_scores
 from .metrics import C_STATISTIC, MetricError, measure_value, no_information
 from .models import FitRecipe, fit, predict
-from .resampling import ResamplePlan, draw, map_records, stream
+from .resampling import ResamplePlan, draw, draw_block, map_records, stream
 
 HARRELL = "harrell"
 P632 = "0.632"
 P632PLUS = "0.632plus"
 METHODS = (HARRELL, P632, P632PLUS)
+#: corrections that read the out-of-bag values
+OOB_METHODS = (P632, P632PLUS)
 
 #: resample redraw budget before a replicate is marked invalid
 MAX_REDRAWS = 25
@@ -55,14 +57,29 @@ def apparent_fit(d: Dataset, recipe: FitRecipe, plan: ResamplePlan,
     return fit(d, recipe, fold_rng=fold_rng, workers=workers)
 
 
-def two_class_draw(d: Dataset, plan: ResamplePlan, r: int):
-    """Replicate r's resample, redrawn until it holds both outcome classes;
-    None once MAX_REDRAWS redraws are spent."""
-    for retry in range(MAX_REDRAWS + 1):
+def two_class_draw(d: Dataset, plan: ResamplePlan, r: int, retry: int = 0):
+    """Replicate r's resample from draw `retry` on, redrawn until it holds
+    both outcome classes; None once MAX_REDRAWS redraws are spent."""
+    for retry in range(retry, MAX_REDRAWS + 1):
         rs = draw(plan, r, d.n, retry=retry)
         if 0.0 < d.outcomes[rs.indices].mean() < 1.0:
             return rs
     return None
+
+
+def two_class_block(d: Dataset, plan: ResamplePlan, rs: range):
+    """two_class_draw(d, plan, r) for every r in rs, as a (len(rs), n)
+    index matrix and a mask of the replicates that got a resample (rows
+    without one are left as drawn). Only a replicate whose first draw lacks
+    an outcome class is redrawn one by one."""
+    idx = draw_block(plan, rs, d.n)
+    n_events = d.outcomes[idx].sum(axis=1)
+    ok = (0 < n_events) & (n_events < d.n)
+    for i in np.flatnonzero(~ok):
+        redrawn = two_class_draw(d, plan, rs[i], retry=1)
+        if redrawn is not None:
+            idx[i], ok[i] = redrawn.indices, True
+    return idx, ok
 
 
 _INVALID = (np.nan, np.nan, np.nan, False, False)
@@ -72,11 +89,12 @@ class _ReplicateTask:
     """Picklable per-replicate evaluation for the bootstrap engine."""
 
     def __init__(self, d: Dataset, recipe: FitRecipe, measure: str,
-                 plan: ResamplePlan):
+                 plan: ResamplePlan, oob: bool = True):
         self.d = d
         self.recipe = recipe
         self.measure = measure
         self.plan = plan
+        self.oob = oob
 
     def __call__(self, r: int):
         d, plan = self.d, self.plan
@@ -93,7 +111,7 @@ class _ReplicateTask:
         except (MetricError, ValueError):
             return [(r, *_INVALID)]
         theta_out, oob_ok = np.nan, False
-        if rs.out_of_bag.size > 0:
+        if self.oob and rs.out_of_bag.size > 0:
             oob_d = d.subset(rs.out_of_bag)
             y_out = oob_d.outcomes
             if 0.0 < y_out.mean() < 1.0:
@@ -113,50 +131,65 @@ BLOCK = 100
 
 class _CountsBlockTask:
     """Picklable evaluation of one block of replicates with the
-    frequency-weight kernel (ML fits, C-statistic)."""
+    frequency-weight kernel (ML fits, C-statistic) on d's patterns; the
+    out-of-bag values only if oob is set (see kernel.py)."""
 
-    def __init__(self, d: Dataset, recipe: FitRecipe, plan: ResamplePlan):
+    def __init__(self, d: Dataset, recipe: FitRecipe, plan: ResamplePlan,
+                 patterns: Patterns, oob: bool):
         self.d = d
         self.recipe = recipe
         self.plan = plan
-        self.patterns = Patterns(d)
-        self.orig_counts = self.patterns.counts(np.arange(d.n))
+        self.patterns = patterns
+        self.oob = oob
+        self.orig_counts = patterns.counts(np.arange(d.n))
 
     def __call__(self, block: int):
         d, plan, pat = self.d, self.plan, self.patterns
-        out, ok, boot, oob = [], [], [], []
-        for r in range(block * BLOCK, min(plan.B, (block + 1) * BLOCK)):
-            rs = two_class_draw(d, plan, r)
-            if rs is None:
-                out.append((r, *_INVALID))
-                continue
-            ok.append(r)
-            boot.append(pat.counts(rs.indices))
-            oob.append(pat.counts(rs.out_of_bag))
-        if not ok:
+        rs = range(block * BLOCK, min(plan.B, (block + 1) * BLOCK))
+        idx, ok = two_class_block(d, plan, rs)
+        out = [(rs[i], *_INVALID) for i in np.flatnonzero(~ok)]
+        if not ok.any():
             return out
-        events, trials = (np.array(c) for c in zip(*boot))
+        idx = idx[ok]
+        events, trials = pat.counts(idx)
         beta = fit_ml_counts(pat, events, trials, self.recipe.max_iter,
                              self.recipe.tol)
-        thetas = c_statistics(
-            risk_scores(pat, beta),
-            [(events, trials), self.orig_counts,
-             tuple(np.array(c) for c in zip(*oob))])
-        for r, tb, to, tout in zip(ok, *thetas):
-            out.append((r, tb, to, tout, True, bool(np.isfinite(tout))))
+        samples = [(events, trials), self.orig_counts]
+        if self.oob:
+            samples.append(pat.counts_outside(idx))
+        thetas = c_statistics(risk_scores(pat, beta), samples)
+        if not self.oob:
+            thetas.append(np.full(idx.shape[0], np.nan))
+        for i, tb, to, tout in zip(np.flatnonzero(ok), *thetas):
+            out.append((rs[i], tb, to, tout, True, bool(np.isfinite(tout))))
         return out
 
 
+def kernel_patterns(d: Dataset, recipe: FitRecipe,
+                    measure: str) -> Patterns | None:
+    """d's patterns when the frequency-weight kernel evaluates the recipe
+    and measure (ML fits graded by the C-statistic), else None."""
+    if recipe.estimator == "ml" and measure == C_STATISTIC:
+        return Patterns(d)
+    return None
+
+
 def evaluate_replicates(d: Dataset, recipe: FitRecipe, measure: str,
-                        plan: ResamplePlan, workers: int = 1) -> ReplicateSet:
+                        plan: ResamplePlan, workers: int = 1,
+                        patterns: Patterns | None = None,
+                        oob: bool = True) -> ReplicateSet:
     """Compute (theta_boot, theta_orig, theta_out) for every replicate of
     the plan. Order- and worker-count-independent. ML fits graded by the
-    C-statistic run on the frequency-weight kernel (see kernel.py)."""
-    if recipe.estimator == "ml" and measure == C_STATISTIC:
-        task = _CountsBlockTask(d, recipe, plan)
+    C-statistic run on the frequency-weight kernel (see kernel.py), on
+    `patterns` when the caller has d's kernel_patterns. Without oob,
+    theta_out is NaN and oob_valid False throughout."""
+    if patterns is None:
+        patterns = kernel_patterns(d, recipe, measure)
+    if patterns is not None:
+        task = _CountsBlockTask(d, recipe, plan, patterns, oob)
         n_tasks = -(-plan.B // BLOCK)
     else:
-        task = _ReplicateTask(d, recipe, measure, plan)
+        task = _ReplicateTask(d, recipe, measure, plan, oob)
         n_tasks = plan.B
     boot = np.full(plan.B, np.nan)
     orig = np.full(plan.B, np.nan)

@@ -6,6 +6,12 @@ of a plan yields the same index vector regardless of execution order or
 worker count. Inner streams for outer replicate b live under a distinct
 level path and can never collide with outer streams or with other inner
 streams.
+
+A stream's Philox key is SeedSequence(seed, spawn_key=path)'s
+generate_state(2, uint64), and its counter starts at zero. draw_block
+draws a block of replicates at once: it derives every key of the block in
+one vectorised pass of the SeedSequence hash, then sets one Philox to each
+key in turn and lets NumPy draw the integers, so each row equals draw()'s.
 """
 
 from __future__ import annotations
@@ -73,6 +79,111 @@ def draw(plan: ResamplePlan, r: int, n: int, retry: int = 0) -> Resample:
     in_bag = np.zeros(n, dtype=bool)
     in_bag[idx] = True
     return Resample(indices=idx, out_of_bag=np.flatnonzero(~in_bag))
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(k: int) -> list[int]:
+    """k as SeedSequence takes an integer (_coerce_to_uint32_array): its
+    32-bit words, least significant first; zero is one word."""
+    if k < 0:
+        raise ResamplingError("stream keys must be nonnegative")
+    words = [k & _MASK32]
+    while k > _MASK32:
+        k >>= 32
+        words.append(k & _MASK32)
+    return words
+
+
+def _seed_sequence_state(entropy: list) -> np.ndarray:
+    """SeedSequence's pool mixing and generate_state(2, uint64) on an
+    assembled entropy list whose words are ints (shared by every row) or
+    uint64 arrays (one word per row); returns the (rows, 2) uint64 keys.
+
+    A word is kept below 2**32 by masking after each product, so the same
+    expressions serve ints and arrays, and a uint64 difference that wraps
+    still masks to the uint32 one."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    const = _INIT_B
+    state = []
+    for value in pool:
+        value = value ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        state.append(value ^ value >> 16)
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32],
+                    axis=-1)
+
+
+def philox_keys(seed: int, prefix, rs, suffix) -> np.ndarray:
+    """The Philox key of stream(seed, *prefix, r, *suffix) for every r in
+    rs, as a (len(rs), 2) uint64 array: row i equals
+    SeedSequence(seed, spawn_key=(*prefix, rs[i], *suffix))
+    .generate_state(2, np.uint64)."""
+    run = _words(seed)
+    run += [0] * (_POOL - len(run))  # as SeedSequence pads for a spawn key
+    head = run + [w for k in prefix for w in _words(k)]
+    tail = [w for k in suffix for w in _words(k)]
+    rs = np.asarray(rs, dtype=np.uint64)
+    keys = np.empty((rs.size, 2), dtype=np.uint64)
+    wide = rs > _MASK32  # two entropy words, not one
+    for rows, words in ((~wide, [rs[~wide]]),
+                        (wide, [rs[wide] & _MASK32, rs[wide] >> 32])):
+        if rows.any():
+            keys[rows] = _seed_sequence_state(head + words + tail)
+    return keys
+
+
+def draw_block(plan: ResamplePlan, rs: range, n: int) -> np.ndarray:
+    """draw(plan, r, n).indices for every r in rs, as the rows of a
+    (len(rs), n) array.
+
+    One Philox and one Generator serve the block: before each row the
+    Philox is set to that replicate's key, counter zero and an empty
+    buffer, which is the state stream() builds, and NumPy draws the
+    integers as in draw()."""
+    if rs and rs[-1] >= plan.B:
+        raise ResamplingError(
+            f"replicate index {rs[-1]} out of range (B={plan.B})")
+    keys = philox_keys(plan.seed, plan.level, rs, (_DRAW, 0)).tolist()
+    bits = np.random.Philox(0)  # state replaced below
+    gen = np.random.Generator(bits)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    out = np.empty((len(rs), n), dtype=np.int64)
+    for row, key in zip(out, keys):
+        state["state"]["key"] = key
+        bits.state = state
+        row[:] = gen.integers(0, n, size=n)
+    return out
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,32 @@ def test_two_stage_matches_oracle_exactly():
     assert est.B_outer == 25 and est.B_inner == 25
 
 
+def test_two_stage_632_family_matches_oracle_exactly():
+    # these corrections read the inner bootstraps' out-of-bag values
+    d = make_dataset(89, n=50, p=2)
+    recipe = FitRecipe("ml")
+    for method in ("0.632", "0.632plus"):
+        est = interval(d, recipe, ResamplePlan(10, 37),
+                       f"two-stage:{method}", inner_B=10)
+        ref = two_stage_reference(d, recipe, method, 10, 10, 37, 0.05)
+        assert (est.point, est.lower, est.upper) == ref
+
+
+def test_harrell_validation_keeps_top_level_out_of_bag_values():
+    """Only the two-stage inner bootstraps skip the out-of-bag sets that
+    Harrell's correction does not read; the report's replicates keep
+    them."""
+    d = make_dataset(87, n=50, p=2)
+    plan = ResamplePlan(12, 33)
+    run = validate(d, FitRecipe("ml"), C_STATISTIC, plan, ["harrell"],
+                   ["two-stage:harrell"], inner_B=6)
+    full = evaluate_replicates(d, FitRecipe("ml"), C_STATISTIC, plan)
+    assert np.array_equal(run.replicates.oob_valid, full.oob_valid)
+    assert np.array_equal(run.replicates.theta_out, full.theta_out,
+                          equal_nan=True)
+    assert full.oob_valid.any()
+
+
 def test_two_stage_worker_count_invariance():
     d = make_dataset(73, n=50, p=2)
     recipe = FitRecipe("ml")

@@ -1,5 +1,9 @@
-import numpy as np
+import pickle
 
+import numpy as np
+import pytest
+
+from bootval import optimism
 from bootval.data import Dataset
 from bootval.kernel import (Patterns, c_statistics, fit_ml_counts,
                             risk_scores)
@@ -36,6 +40,29 @@ def test_patterns_group_rows_by_equality():
     pat = Patterns(Dataset(np.array([0.0, 1.0, 1.0, 0.0]), x))
     assert pat.k == 3
     assert np.array_equal(pat.z[pat.index, 1:], x)
+
+
+def test_patterns_restricted_from_parent_equal_patterns_of_subset():
+    rng = np.random.default_rng(2)
+    for d in (_binary_dataset(3, n=640, p=8),  # s1-shaped: heavy repeats
+              make_dataset(4, n=200, p=3)):  # every row distinct
+        parent = Patterns(d)
+        for rows in (rng.integers(0, d.n, size=d.n), np.full(d.n, 5)):
+            got, want = parent.restrict(rows), Patterns(d.subset(rows))
+            assert got.k == want.k
+            for name in ("index", "outcomes", "z", "_zz"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.k == 1  # the resample of one repeated row
+
+
+def test_patterns_pickle_without_outer_products():
+    pat = Patterns(make_dataset(5, n=50, p=3))
+    w = np.random.default_rng(1).random((3, pat.k))
+    want = pat.hessians(w)
+    sent = pickle.loads(pickle.dumps(pat))
+    assert "_zz" not in sent.__dict__
+    assert np.array_equal(sent.hessians(w), want)
 
 
 def test_c_statistics_equal_expanded_rows_exactly():
@@ -78,18 +105,37 @@ def test_fit_ml_counts_matches_fit_on_resample():
                                rtol=1e-12, atol=0.0)
 
 
+def _assert_equals_per_replicate_path(d, plan):
+    recipe = FitRecipe("ml")
+    fast = evaluate_replicates(d, recipe, C_STATISTIC, plan)
+    task = _ReplicateTask(d, recipe, C_STATISTIC, plan)
+    slow = [rec for r in range(plan.B) for rec in task(r)]
+    for field, col in (("theta_boot", 1), ("theta_orig", 2),
+                       ("theta_out", 3), ("valid", 4), ("oob_valid", 5)):
+        want = np.array([rec[col] for rec in slow])
+        assert np.array_equal(getattr(fast, field), want,
+                              equal_nan=True), field
+    return fast
+
+
 def test_evaluate_replicates_equals_per_replicate_path():
     """The count kernel reproduces the per-resample fit bit for bit on
     continuous and on tied (binary) predictors."""
-    recipe = FitRecipe("ml")
     for d in (make_dataset(8, n=90, p=3), _binary_dataset(9)):
-        plan = ResamplePlan(120, 4)
-        fast = evaluate_replicates(d, recipe, C_STATISTIC, plan)
-        task = _ReplicateTask(d, recipe, C_STATISTIC, plan)
-        slow = [rec for r in range(plan.B) for rec in task(r)]
-        for field, col in (("theta_boot", 1), ("theta_orig", 2),
-                           ("theta_out", 3), ("valid", 4),
-                           ("oob_valid", 5)):
-            want = np.array([rec[col] for rec in slow])
-            assert np.array_equal(getattr(fast, field), want,
-                                  equal_nan=True), field
+        _assert_equals_per_replicate_path(d, ResamplePlan(120, 4))
+
+
+@pytest.mark.parametrize("events, n, max_redraws", [
+    (2, 40, optimism.MAX_REDRAWS),
+    (1, 12, 1),  # some replicates spend every redraw
+])
+def test_evaluate_replicates_with_redraws_equals_per_replicate_path(
+        events, n, max_redraws, monkeypatch):
+    """Replicates whose first draw lacks an event are redrawn one by one,
+    as on the per-replicate path."""
+    monkeypatch.setattr(optimism, "MAX_REDRAWS", max_redraws)
+    y = np.zeros(n)
+    y[:events] = 1.0
+    d = Dataset(y, np.random.default_rng(events).normal(size=(n, 2)))
+    fast = _assert_equals_per_replicate_path(d, ResamplePlan(120, 4))
+    assert (~fast.valid).any() == (max_redraws == 1)

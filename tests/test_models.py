@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bootval.data import DataError, Dataset
-from bootval.models import (FitError, FitRecipe, fit, fit_ml, fit_penalized,
-                            lambda_grid, lasso_lambda_max, log_likelihood,
+from bootval.models import (FitError, FitRecipe, _cd_penalized, _standardize,
+                            fit, fit_ml, fit_penalized, lambda_grid,
+                            lasso_lambda_max, log_likelihood,
                             log_likelihood_gradient, logistic,
                             penalized_objective, predict)
 from bootval.oracles import gridsearch_logistic_2d
@@ -142,6 +143,48 @@ def test_cv_selection_is_seed_deterministic():
     m2 = fit(d, recipe, fold_rng=stream(5, 9))
     assert m1.penalty == m2.penalty
     assert np.array_equal(m1.slopes, m2.slopes)
+
+
+def test_constant_predictor_gets_slope_zero():
+    d = make_dataset(3, n=60, p=3)
+    x = d.predictors.copy()
+    x[:, 2] = 0.0
+    d = Dataset(d.outcomes, x)
+    for recipe in (FitRecipe("lasso", penalty=0.5),
+                   FitRecipe("ridge", penalty=0.0), FitRecipe("lasso")):
+        model = fit(d, recipe, fold_rng=stream(5, 9))
+        assert np.isfinite(model.slopes).all() and model.converged
+        assert model.slopes[2] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["ridge", "lasso"])
+def test_fixed_penalty_fit_is_descent_on_the_standardized_design(kind):
+    # the descent's strided dots round differently on another memory
+    # layout, so the fit must hand it the C-ordered standardized design
+    for seed in range(4):
+        d = make_dataset(60 + seed, n=150, p=5)
+        xs, mu, sd = _standardize(d.predictors)
+        ybar = d.outcomes.mean()
+        a0, b, _, _ = _cd_penalized(d.outcomes, xs, kind, 0.3,
+                                    float(np.log(ybar / (1.0 - ybar))),
+                                    np.zeros(d.p), 100, 1e-8)
+        model = fit(d, FitRecipe(kind, penalty=0.3))
+        assert np.array_equal(model.slopes, b / sd)
+        assert model.intercept == a0 - float(model.slopes @ mu)
+
+
+def test_cv_selection_skips_non_finite_deviances(monkeypatch):
+    import bootval.models as models
+    d = make_dataset(43, n=60, p=2)
+    recipe = FitRecipe("ridge", n_lambdas=10)
+    lmax = lambda_grid(d, recipe)[0]
+    deviance = models._deviance
+    monkeypatch.setattr(models, "_deviance", lambda m, t: (
+        np.nan if m.penalty == lmax else deviance(m, t)))
+    assert fit(d, recipe, fold_rng=stream(5, 9)).penalty < lmax
+    monkeypatch.setattr(models, "_deviance", lambda m, t: np.nan)
+    with pytest.raises(FitError, match="finite"):
+        fit(d, recipe, fold_rng=stream(5, 9))
 
 
 def test_cv_requires_fold_rng():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bootval.metrics import C_STATISTIC, no_information
+from bootval.metrics import CALIBRATION_SLOPE, C_STATISTIC, no_information
 from bootval.models import FitRecipe, predict
 from bootval.intervals import validate
 from bootval.optimism import (HARRELL, P632, P632PLUS, OptimismError,
@@ -144,6 +144,20 @@ def test_worker_count_invariance():
     assert np.array_equal(seq.theta_out, par.theta_out, equal_nan=True)
     assert np.array_equal(seq.valid, par.valid)
     assert np.array_equal(seq.oob_valid, par.oob_valid)
+
+
+@pytest.mark.parametrize("measure", [C_STATISTIC,  # the count kernel
+                                     CALIBRATION_SLOPE])  # per replicate
+def test_evaluation_without_out_of_bag_keeps_the_other_values(measure):
+    d = make_dataset(59, n=60, p=2)
+    plan = ResamplePlan(30, 11)
+    full = evaluate_replicates(d, FitRecipe("ml"), measure, plan)
+    lean = evaluate_replicates(d, FitRecipe("ml"), measure, plan, oob=False)
+    for field in ("theta_boot", "theta_orig", "valid"):
+        assert np.array_equal(getattr(lean, field), getattr(full, field),
+                              equal_nan=True), field
+    assert np.isnan(lean.theta_out).all() and not lean.oob_valid.any()
+    assert full.oob_valid.any()
 
 
 def test_unknown_method_rejected():

@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bootval import optimism
+from bootval.data import Dataset
+from bootval.optimism import two_class_block, two_class_draw
 from bootval.oracles import percentile_oracle
-from bootval.resampling import (BootstrapDistribution, ResamplePlan,
-                                ResamplingError, draw, inner_level,
-                                map_indices, percentile_interval,
-                                quantile_type7, stream)
+from bootval.resampling import (OUTER, BootstrapDistribution, ResamplePlan,
+                                ResamplingError, draw, draw_block,
+                                inner_level, map_indices, percentile_interval,
+                                philox_keys, quantile_type7, stream)
 
 
 def test_plan_validation():
@@ -53,6 +56,67 @@ def test_draw_differs_across_replicates_retries_and_levels():
 def test_draw_out_of_range():
     with pytest.raises(ResamplingError):
         draw(ResamplePlan(4, 9), 4, 10)
+
+
+SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
+LEVELS = (OUTER, inner_level(0), inner_level(2**32 - 1), inner_level(2**32),
+          inner_level(2**32 + 1))
+
+
+def test_philox_keys_equal_seed_sequence_state():
+    # replicate indices of one and two 32-bit words, retries 0 to 25
+    rs = [0, 1, 99, 2**32 - 1, 2**32, 2**32 + 5]
+    for seed in SEEDS:
+        for level in LEVELS:
+            for retry in (0, 1, 25):
+                want = [np.random.SeedSequence(
+                    seed, spawn_key=(*level, r, 0, retry)).generate_state(
+                        2, np.uint64) for r in rs]
+                got = philox_keys(seed, level, rs, (0, retry))
+                assert got.dtype == np.uint64
+                assert np.array_equal(got, want), (seed, level, retry)
+
+
+def test_draw_block_equals_draw():
+    for seed in SEEDS:
+        for level in LEVELS:
+            plan = ResamplePlan(130, seed, level)  # not a multiple of 100
+            for n in (1, 2, 255, 256, 257):
+                for rs in (range(0, 3), range(100, 130)):
+                    want = [draw(plan, r, n).indices for r in rs]
+                    assert np.array_equal(draw_block(plan, rs, n), want)
+    plan = ResamplePlan(3, 5, inner_level(2**32 + 1))
+    want = [draw(plan, r, 65_537).indices for r in range(3)]
+    assert np.array_equal(draw_block(plan, range(3), 65_537), want)
+
+
+@pytest.mark.parametrize("events, n, max_redraws", [
+    (1, 40, optimism.MAX_REDRAWS), (2, 12, optimism.MAX_REDRAWS),
+    (1, 12, 1),  # some replicates spend every redraw
+])
+def test_two_class_block_equals_two_class_draw(events, n, max_redraws,
+                                               monkeypatch):
+    monkeypatch.setattr(optimism, "MAX_REDRAWS", max_redraws)
+    y = np.zeros(n)
+    y[:events] = 1.0
+    d = Dataset(y, np.zeros((n, 1)))
+    plan = ResamplePlan(130, 8, inner_level(3))
+    idx, ok = two_class_block(d, plan, range(100, 130))
+    want = [two_class_draw(d, plan, r) for r in range(100, 130)]
+    assert np.array_equal(ok, [rs is not None for rs in want])
+    got = [rs for rs in want if rs is not None]
+    assert all(np.array_equal(row, rs.indices)
+               for row, rs in zip(idx[ok], got))
+    redrawn = [r for r in range(100, 130)
+               if not 0 < y[draw(plan, r, n).indices].sum() < n]
+    assert redrawn and (ok.all() == (max_redraws > 1))
+
+
+def test_draw_block_out_of_range():
+    with pytest.raises(ResamplingError):
+        draw_block(ResamplePlan(4, 9), range(2, 5), 10)
+    with pytest.raises(ValueError):  # as SeedSequence rejects it
+        draw_block(ResamplePlan(4, -1), range(2), 10)
 
 
 def test_stream_keying_is_structural():
