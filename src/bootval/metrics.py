@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, rankdata
+from scipy.special import ndtri
 
 from .data import Dataset
 from .models import FitRecipe, RiskScores, fit_ml
@@ -44,8 +44,18 @@ def no_information(kind: str) -> float:
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based midranks with tie averaging (exact half-integers)."""
-    return rankdata(x, method="average")
+    """1-based midranks with tie averaging (exact half-integers), equal to
+    `scipy.stats.rankdata(x, method="average")`: all NaN if any is NaN."""
+    x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    counts = np.diff(starts, append=x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
 
 
 def c_statistic_value(scores: np.ndarray, outcomes: np.ndarray) -> float:
@@ -107,7 +117,7 @@ def delong_ci(scores: RiskScores, outcomes: np.ndarray,
     var = delong_variance(scores.values, outcomes)
     if var <= 0.0:
         return auc, auc
-    z = float(norm.ppf(1.0 - alpha / 2.0))
+    z = float(ndtri(1.0 - alpha / 2.0))
     half = z * np.sqrt(var)
     return auc - half, auc + half
 

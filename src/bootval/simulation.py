@@ -17,12 +17,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
+import time
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import multivariate_normal, norm
+# ndtri and ndtr are what scipy.stats.norm's ppf and cdf evaluate. The
+# scipy.stats and scipy.optimize imports (about 1.2 s) are deferred to the
+# functions that need them, so that importing this module, as `validate`
+# does, loads neither.
+from scipy.special import ndtr, ndtri
 
 from .data import Dataset
 from .intervals import parse_method, validate
@@ -98,6 +103,8 @@ COLUMN_NAMES = ("A65", "SEX", "DIA", "HYP", "HRT", "HIG", "SHO", "TTR",
                 "FAM", "ST4")
 BINARY_NAMES = ("SEX", "DIA", "HYP", "HRT", "HIG", "SHO", "TTR", "PMI",
                 "HTN", "LIP", "PAN", "FAM", "ST4")
+_COLUMN = {name: j for j, name in enumerate(COLUMN_NAMES)}
+_BINARY_COLUMNS = np.array([_COLUMN[name] for name in BINARY_NAMES])
 
 
 def columns_for_p(p: int) -> tuple[int, int]:
@@ -190,15 +197,17 @@ def _latent_rho(p1: float, p2: float, target: float) -> float:
     thresholds) reproduces the target binary correlation."""
     if target == 0.0:
         return 0.0
-    t1 = norm.ppf(1.0 - p1)
-    t2 = norm.ppf(1.0 - p2)
+    from scipy.optimize import brentq
+    from scipy.stats import multivariate_normal
+    t1 = ndtri(1.0 - p1)
+    t2 = ndtri(1.0 - p2)
     joint_target = p1 * p2 + target * np.sqrt(
         p1 * (1 - p1) * p2 * (1 - p2))
 
     def upper_tail(rho):
         cdf = multivariate_normal.cdf([t1, t2], mean=[0.0, 0.0],
                                       cov=[[1.0, rho], [rho, 1.0]])
-        return 1.0 - norm.cdf(t1) - norm.cdf(t2) + cdf
+        return 1.0 - ndtr(t1) - ndtr(t2) + cdf
 
     return brentq(lambda r: upper_tail(r) - joint_target, -0.999, 0.999,
                   xtol=1e-10)
@@ -251,30 +260,28 @@ class CovariateGenerator:
                     marg[i], marg[j], corr[i, j])
         latent = _nearest_psd_correlation(latent)
         self._latent_chol = np.linalg.cholesky(latent)
-        self._binary_thresholds = norm.ppf(1.0 - marg)
+        self._binary_thresholds = ndtri(1.0 - marg)
         self.config = config
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """One (n, 18) predictor matrix in COLUMN_NAMES order."""
+        """One (n, 18) C-ordered predictor matrix in COLUMN_NAMES order."""
         cfg = self.config
+        out = np.empty((n, len(COLUMN_NAMES)))
         cont = (rng.standard_normal((n, 3)) @ self._cont_chol.T
                 + cfg.continuous_means)
-        height, weight, age = cont[:, 0], cont[:, 1], cont[:, 2]
-        a65 = (age >= cfg.age_threshold).astype(float)
+        out[:, _COLUMN["HEI"]] = cont[:, 0]
+        out[:, _COLUMN["WEI"]] = cont[:, 1]
+        out[:, _COLUMN["A65"]] = cont[:, 2] >= cfg.age_threshold
 
         u = rng.random(n)
         cut = np.cumsum(cfg.smoking_proportions)
-        smk1 = (u < cut[0]).astype(float)                 # current
-        smk2 = ((u >= cut[0]) & (u < cut[1])).astype(float)  # ex
+        out[:, _COLUMN["SMK1"]] = u < cut[0]                   # current
+        out[:, _COLUMN["SMK2"]] = (u >= cut[0]) & (u < cut[1])  # ex
 
         z = rng.standard_normal((n, self._binary_thresholds.size))
         z = z @ self._latent_chol.T
-        binary = (z > self._binary_thresholds).astype(float)
-        by_name = dict(zip(BINARY_NAMES, binary.T))
-
-        columns = {"A65": a65, "HEI": height, "WEI": weight,
-                   "SMK1": smk1, "SMK2": smk2, **by_name}
-        return np.column_stack([columns[name] for name in COLUMN_NAMES])
+        out[:, _BINARY_COLUMNS] = z > self._binary_thresholds
+        return out
 
 
 @dataclass(frozen=True)
@@ -323,6 +330,7 @@ def calibrate_intercept(gen: CovariateGenerator, slopes: np.ndarray,
     lo, up = base - 15.0, base + 15.0
     if excess(lo) > 0 or excess(up) < 0:
         raise SimulationError("intercept root not bracketed; check slopes")
+    from scipy.optimize import brentq
     return float(brentq(excess, lo, up, xtol=1e-10))
 
 
@@ -376,10 +384,11 @@ class CoverageResult:
 
 class _ReplicationTask:
     """One simulation replication: generate a cohort, compute every
-    requested interval, report (covered, width) per method."""
+    requested interval, report (covered, width) per method. Each finished
+    replication prints one progress line to stderr."""
 
     def __init__(self, gen, model, spec: ScenarioSpec, methods, B, inner_B,
-                 alpha, seed):
+                 alpha, seed, replications):
         self.gen = gen
         self.model = model
         self.spec = spec
@@ -388,8 +397,18 @@ class _ReplicationTask:
         self.inner_B = inner_B
         self.alpha = alpha
         self.seed = seed
+        self.replications = replications
 
     def __call__(self, i: int):
+        start = time.monotonic()
+        record = self._replicate(i)
+        status = "done" if record is not None else "failed"
+        print(f"[bootval] scenario {self.spec.id}: replication "
+              f"{i + 1}/{self.replications} {status} in "
+              f"{time.monotonic() - start:.1f}s", file=sys.stderr, flush=True)
+        return record
+
+    def _replicate(self, i: int):
         spec = self.spec
         rep_seed = _subseed(self.seed, 3, spec.id, i)
         d = generate_cohort(self.gen, self.model, spec.p, spec.n, rep_seed)
@@ -424,7 +443,7 @@ def run_scenario(spec: ScenarioSpec, methods, replications: int, B: int,
     model = TrueModel(beta0, slopes, true_auc)
 
     task = _ReplicationTask(gen, model, spec, methods, B, inner_B, alpha,
-                            seed)
+                            seed, replications)
     records = map_records(replications, task, workers=workers)
     results = []
     for method in methods:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +141,59 @@ def test_simulate_small_run_and_shape(tmp_path):
     assert len(payload["results"]) == 2
     for row in payload["results"]:
         assert 0.0 <= row["coverage"] <= 1.0
+
+
+def test_simulate_prints_one_progress_line_per_replication(tmp_path,
+                                                         capsys):
+    args = ["simulate", "--scenarios", "1,5", "--methods", "delong",
+            "--replications", "3", "--B", "8", "--seed", "2",
+            "--workers", "1", "--calibration-n", "20000",
+            "--estimand-n", "2000", "--output-prefix",
+            str(tmp_path / "cov")]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    progress = [line for line in captured.err.splitlines()
+                if ": replication " in line]
+    assert [line.split(" in ")[0] for line in progress] == [
+        f"[bootval] scenario {s}: replication {i}/3 done"
+        for s in (1, 5) for i in (1, 2, 3)]
+    assert all(line.endswith("s") for line in progress)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(code, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          **kwargs)
+
+
+def test_simulate_progress_from_workers_goes_to_stderr(tmp_path):
+    done = run_python(
+        "import sys; from bootval.cli import main; sys.exit(main(["
+        "'simulate', '--scenarios', '1', '--methods', 'delong', "
+        "'--replications', '2', '--B', '8', '--workers', '2', "
+        "'--calibration-n', '20000', '--estimand-n', '2000', "
+        "'--output-prefix', 'cov']))", cwd=tmp_path)
+    assert done.stdout == ""
+    progress = sorted(line.split(" in ")[0]
+                      for line in done.stderr.splitlines()
+                      if ": replication " in line)
+    assert progress == [f"[bootval] scenario 1: replication {i}/2 done"
+                        for i in (1, 2)]
+
+
+def test_import_loads_neither_scipy_stats_nor_scipy_optimize():
+    # Importing scipy.stats costs about 1.2 s, most of a small validate
+    # run; only simulate may load it, when it builds a generator.
+    done = run_python(
+        "import sys, bootval, bootval.cli, bootval.simulation; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'stats'], ['scipy', 'optimize'])))")
+    assert done.stdout.strip() == "[]"
 
 
 def test_simulate_rejects_bad_scenario(tmp_path, capsys):

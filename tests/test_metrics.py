@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
+from scipy.stats import norm, rankdata
 
 from bootval.metrics import (C_STATISTIC, CALIBRATION_SLOPE, MetricError,
-                             c_statistic, c_statistic_value,
+                             _midranks, c_statistic, c_statistic_value,
                              calibration_slope, delong_ci, delong_variance,
                              measure_value, no_information)
 from bootval.models import FittedModel, RiskScores, predict
 from bootval.oracles import (auc_bruteforce, gridsearch_slope_1d,
                              jackknife_auc_variance,
                              permutation_no_information)
+from bootval.simulation import CovariateGenerator, GeneratorConfig
 
 from conftest import make_dataset
 
@@ -187,3 +190,62 @@ def test_measure_value_dispatch():
         calibration_slope(scores, d.outcomes).value
     with pytest.raises(MetricError):
         measure_value("brier", scores, d.outcomes)
+
+
+def assert_same_ranks(x):
+    x = np.asarray(x, dtype=np.float64)
+    ours, theirs = _midranks(x), rankdata(x, method="average")
+    assert ours.dtype == theirs.dtype == np.float64
+    assert np.array_equal(ours, theirs, equal_nan=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([-np.inf, -2.5, -1.0, -0.0, 0.0, 0.1, 0.2,
+                                 0.5, 1e-300, 7.0, np.inf]),
+                min_size=1, max_size=80))
+def test_midranks_equal_rankdata_with_heavy_ties(values):
+    assert_same_ranks(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                min_size=1, max_size=40))
+def test_midranks_equal_rankdata_on_any_floats(values):
+    assert_same_ranks(values)
+
+
+@pytest.mark.parametrize("values", [
+    [0.3], [np.nan], [np.inf], [-0.0],
+    [np.inf, -np.inf, np.inf, 0.0, -np.inf],
+    [-0.0, 0.0, -0.0, 0.0, 1.0, -1.0],
+    [0.2, np.nan, 0.1], [np.nan, np.nan], [],
+])
+def test_midranks_equal_rankdata_edge_cases(values):
+    assert_same_ranks(values)
+
+
+def test_midranks_equal_rankdata_on_large_tied_scores():
+    rng = np.random.default_rng(4)
+    for n in (2, 3, 1000, 5440):
+        assert_same_ranks(rng.integers(0, 7, size=n) / 7.0)
+        assert_same_ranks(rng.normal(size=n))
+
+
+def test_ndtri_is_norm_ppf_for_delong_z():
+    for alpha in np.concatenate([np.linspace(0.001, 1.0, 1000),
+                                 [1e-12, 0.01, 0.05, 0.1, 0.2, 0.5]]):
+        q = 1.0 - alpha / 2.0
+        assert float(ndtri(q)) == float(norm.ppf(q))
+
+
+def test_ndtri_and_ndtr_are_norm_on_generator_parameters():
+    marg = GeneratorConfig.default().binary_marginals
+    q = 1.0 - marg
+    thresholds = ndtri(q)
+    assert np.array_equal(thresholds, norm.ppf(q))
+    assert np.array_equal(ndtr(thresholds), norm.cdf(thresholds))
+    for p in marg:
+        t = ndtri(1.0 - p)
+        assert t == norm.ppf(1.0 - p) and ndtr(t) == norm.cdf(t)
+    gen = CovariateGenerator(GeneratorConfig.default())
+    assert np.array_equal(gen._binary_thresholds, norm.ppf(q))
