@@ -143,24 +143,6 @@ def test_simulate_small_run_and_shape(tmp_path):
         assert 0.0 <= row["coverage"] <= 1.0
 
 
-def test_simulate_prints_one_progress_line_per_replication(tmp_path,
-                                                         capsys):
-    args = ["simulate", "--scenarios", "1,5", "--methods", "delong",
-            "--replications", "3", "--B", "8", "--seed", "2",
-            "--workers", "1", "--calibration-n", "20000",
-            "--estimand-n", "2000", "--output-prefix",
-            str(tmp_path / "cov")]
-    assert main(args) == 0
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    progress = [line for line in captured.err.splitlines()
-                if ": replication " in line]
-    assert [line.split(" in ")[0] for line in progress] == [
-        f"[bootval] scenario {s}: replication {i}/3 done"
-        for s in (1, 5) for i in (1, 2, 3)]
-    assert all(line.endswith("s") for line in progress)
-
-
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -171,19 +153,21 @@ def run_python(code, **kwargs):
                           **kwargs)
 
 
-def test_simulate_progress_from_workers_goes_to_stderr(tmp_path):
+def test_simulate_progress_goes_to_stderr_once_per_replication(tmp_path):
+    # Two workers, so the lines come from the pool's processes.
     done = run_python(
         "import sys; from bootval.cli import main; sys.exit(main(["
-        "'simulate', '--scenarios', '1', '--methods', 'delong', "
-        "'--replications', '2', '--B', '8', '--workers', '2', "
+        "'simulate', '--scenarios', '1,5', '--methods', 'delong', "
+        "'--replications', '3', '--B', '8', '--workers', '2', "
         "'--calibration-n', '20000', '--estimand-n', '2000', "
         "'--output-prefix', 'cov']))", cwd=tmp_path)
     assert done.stdout == ""
-    progress = sorted(line.split(" in ")[0]
-                      for line in done.stderr.splitlines()
-                      if ": replication " in line)
-    assert progress == [f"[bootval] scenario 1: replication {i}/2 done"
-                        for i in (1, 2)]
+    progress = [line.split(" in ") for line in done.stderr.splitlines()
+                if ": replication " in line]
+    assert sorted(head for head, _ in progress) == [
+        f"[bootval] scenario {s}: replication {i}/3 done"
+        for s in (1, 5) for i in (1, 2, 3)]
+    assert all(seconds.endswith("s") for _, seconds in progress)
 
 
 def test_import_loads_neither_scipy_stats_nor_scipy_optimize():
