@@ -9,7 +9,7 @@ outer level and inner levels whose outer index takes one or two words:
 
 - resampling.philox_keys against SeedSequence(...).generate_state(2,
   uint64), for every retry 0 to MAX_REDRAWS, on over 10**6 keys;
-- resampling.draw_block against draw(...).indices, at resample sizes on
+- resampling.draw_block against draw(...), at resample sizes on
   either side of powers of two, on over 10**6 draws;
 - optimism.two_class_block against two_class_draw on cohorts with no, one
   and two events, so that replicates are redrawn and some spend every
@@ -78,8 +78,7 @@ def check_draws() -> int:
                 for rs in blocks():
                     got = draw_block(plan, rs, size)
                     for r, row in zip(rs, got):
-                        if not np.array_equal(row,
-                                              draw(plan, r, size).indices):
+                        if not np.array_equal(row, draw(plan, r, size)):
                             fail(f"draw seed={seed} level={level} r={r} "
                                  f"n={size}")
                     n += len(rs)
@@ -100,11 +99,10 @@ def check_redraws() -> tuple[int, int, int]:
                     for r, row, got in zip(rs, idx, ok):
                         want = two_class_draw(d, plan, r)
                         if got != (want is not None) or (
-                                got and not np.array_equal(row,
-                                                           want.indices)):
+                                got and not np.array_equal(row, want)):
                             fail(f"redraw seed={seed} level={level} r={r} "
                                  f"events={events} n={size}")
-                        first = y[draw(plan, r, size).indices].sum()
+                        first = y[draw(plan, r, size)].sum()
                         redrawn += not 0 < first < size
                         exhausted += want is None
                     n += len(rs)

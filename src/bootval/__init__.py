@@ -20,8 +20,7 @@ from .models import (FitRecipe, FittedModel, RiskScores, fit, fit_ml,
                      fit_penalized, predict)
 from .optimism import (HARRELL, P632, P632PLUS, OptimismResult, ReplicateSet,
                        correct, evaluate_replicates)
-from .resampling import (BootstrapDistribution, Resample, ResamplePlan,
-                         draw, percentile_interval, stream)
+from .resampling import ResamplePlan, draw, percentile_interval, stream
 from .simulation import (CovariateGenerator, CoverageResult,
                          GeneratorConfig, ScenarioSpec, TrueModel,
                          calibrate_intercept, derive_n, estimate_true_auc,

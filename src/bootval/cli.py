@@ -23,8 +23,7 @@ from .models import FitRecipe
 from .optimism import METHODS
 from .resampling import ResamplePlan, default_workers
 from .simulation import (GeneratorConfig, ScenarioSpec, coverage_to_csv,
-                         coverage_to_json, read_scenario_params,
-                         run_scenario)
+                         coverage_to_json, run_scenario)
 # Not called here: bench/launch.py times these layers through the names
 # this module imports.
 from .intervals import two_stage_ci  # noqa: F401
@@ -99,9 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="run scenario coverage studies")
     s.add_argument("--scenarios", default="1,5,17,21",
                    help="comma-separated scenario ids (1..24)")
-    s.add_argument("--scenario-params", default=None,
-                   help="key-value scenario parameter file (overrides "
-                   "--scenarios)")
     s.add_argument("--generator-params", default=None,
                    help="generator parameter table (default: bundled "
                    "synthetic set)")
@@ -228,11 +224,8 @@ def simulate_command(args) -> tuple[str, str]:
     methods = _parse_list(args.methods, "CI method")
     if args.replications < 1:
         raise ConfigError("replications must be >= 1")
-    if args.scenario_params:
-        specs = read_scenario_params(args.scenario_params)
-    else:
-        ids = [int(s) for s in args.scenarios.split(",") if s.strip()]
-        specs = [ScenarioSpec.by_id(i) for i in ids]
+    ids = [int(s) for s in args.scenarios.split(",") if s.strip()]
+    specs = [ScenarioSpec.by_id(i) for i in ids]
     config = (GeneratorConfig.from_file(args.generator_params)
               if args.generator_params else GeneratorConfig.default())
 

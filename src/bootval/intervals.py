@@ -22,8 +22,8 @@ from .models import FitRecipe, predict
 from .optimism import (METHODS, OOB_METHODS, OptimismResult, ReplicateSet,
                        apparent_fit, correct, evaluate_replicates,
                        kernel_patterns, two_class_draw)
-from .resampling import (BootstrapDistribution, ResamplePlan, inner_level,
-                         map_indices, percentile_interval)
+from .resampling import (ResamplePlan, inner_level, map_indices,
+                         percentile_interval)
 
 DELONG = "delong"
 APPARENT = "apparent"
@@ -94,8 +94,7 @@ def delong_interval(scores, outcomes: np.ndarray,
 def apparent_bootstrap_ci(apparent: float, reps: ReplicateSet,
                           alpha: float = 0.05) -> IntervalEstimate:
     """Percentile interval of the replicate-on-own-resample distribution."""
-    dist = BootstrapDistribution(reps.theta_boot, reps.valid)
-    lower, upper = percentile_interval(dist, alpha)
+    lower, upper = percentile_interval(reps.theta_boot[reps.valid], alpha)
     return IntervalEstimate(APPARENT, apparent, lower, upper, alpha,
                             B_outer=reps.B, n_valid=int(reps.valid.sum()))
 
@@ -120,8 +119,7 @@ def two_stage_ci(result: OptimismResult, values: np.ndarray, inner_B: int,
     valid = ~np.isnan(values)
     if not valid.any():
         raise IntervalError("all outer replicates invalid")
-    lower, upper = percentile_interval(BootstrapDistribution(values, valid),
-                                       alpha)
+    lower, upper = percentile_interval(values[valid], alpha)
     return IntervalEstimate(TWO_STAGE, result.corrected, lower, upper, alpha,
                             correction=result.method,
                             B_outer=values.shape[0], B_inner=inner_B,
@@ -166,16 +164,16 @@ class _TwoStageOuterTask:
     def __call__(self, b: int) -> list[float]:
         d, plan = self.d, self.outer_plan
         values = [np.nan] * len(self.corrections)
-        rs = two_class_draw(d, plan, b)
-        if rs is None:
+        idx = two_class_draw(d, plan, b)
+        if idx is None:
             return values
         inner_plan = ResamplePlan(self.inner_B, plan.seed,
                                   level=inner_level(b))
         patterns = (None if self.patterns is None
-                    else self.patterns.restrict(rs.indices))
+                    else self.patterns.restrict(idx))
         try:
             _, apparent, reps = _bootstrap(
-                d.subset(rs.indices), self.recipe, self.measure, inner_plan,
+                d.subset(idx), self.recipe, self.measure, inner_plan,
                 patterns=patterns, oob=self.oob)
         except ValueError:
             return values

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .data import Dataset
-from .models import FitRecipe, RiskScores, fit_ml
+from .models import RiskScores, fit_ml
 
 
 class MetricError(ValueError):
@@ -132,7 +132,7 @@ def calibration_slope(scores: RiskScores, outcomes: np.ndarray) -> MeasureValue:
                           "linear predictor")
     d = Dataset(outcomes, lp[:, None], ("lp",))
     d.check_fittable()
-    model = fit_ml(d, FitRecipe("ml"))
+    model = fit_ml(d)
     return MeasureValue(CALIBRATION_SLOPE, float(model.slopes[0]))
 
 

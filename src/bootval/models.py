@@ -13,7 +13,7 @@ than aborting, so bootstrap replicates never fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -25,6 +25,13 @@ from .resampling import map_records
 # probabilities stay strictly inside (0,1) in float64 even for capped
 # separated fits. The clip is monotone.
 LP_CLIP = 30.0
+
+# CV folds and lambda-grid span of a CV-selected penalty; every solver's
+# iteration cap and relative tolerance
+CV_FOLDS = 10
+LAMBDA_MIN_RATIO = 1e-4
+MAX_ITER = 100
+TOL = 1e-8
 
 
 class FitError(ValueError):
@@ -41,11 +48,7 @@ class FitRecipe:
 
     estimator: str = "ml"  # "ml" | "ridge" | "lasso"
     penalty: float | None = None
-    cv_folds: int = 10
     n_lambdas: int = 100
-    lambda_min_ratio: float = 1e-4
-    max_iter: int = 100
-    tol: float = 1e-8
 
     def __post_init__(self):
         if self.estimator not in ("ml", "ridge", "lasso"):
@@ -138,16 +141,14 @@ def _newton_irls(y, z, beta0, max_iter, tol):
     return beta, False, max_iter
 
 
-def fit_ml(d: Dataset, recipe: FitRecipe | None = None) -> FittedModel:
+def fit_ml(d: Dataset) -> FittedModel:
     """Maximum-likelihood logistic fit."""
-    recipe = recipe or FitRecipe("ml")
     d.check_fittable()
     z = np.hstack([np.ones((d.n, 1)), d.predictors])
     beta0 = np.zeros(d.p + 1)
     ybar = float(d.outcomes.mean())
     beta0[0] = np.log(ybar / (1.0 - ybar))
-    beta, converged, it = _newton_irls(
-        d.outcomes, z, beta0, recipe.max_iter, recipe.tol)
+    beta, converged, it = _newton_irls(d.outcomes, z, beta0, MAX_ITER, TOL)
     return FittedModel("ml", float(beta[0]), beta[1:].copy(),
                        penalty=0.0, converged=converged, iterations=it)
 
@@ -257,8 +258,7 @@ def lambda_grid(d: Dataset, recipe: FitRecipe) -> np.ndarray:
     lmax = lasso_lambda_max(d)
     if lmax <= 0:
         lmax = 1.0
-    return np.geomspace(lmax, lmax * recipe.lambda_min_ratio,
-                        recipe.n_lambdas)
+    return np.geomspace(lmax, lmax * LAMBDA_MIN_RATIO, recipe.n_lambdas)
 
 
 def fit_penalized(d: Dataset, recipe: FitRecipe,
@@ -277,9 +277,9 @@ def fit_penalized(d: Dataset, recipe: FitRecipe,
         raise FitError("CV-selected penalty requires a fold rng")
     grid = lambda_grid(d, recipe)
     task = _FoldPathTask(d, recipe, grid,
-                         _fold_assignment(d.n, recipe.cv_folds, fold_rng))
+                         _fold_assignment(d.n, CV_FOLDS, fold_rng))
     cv_dev = np.zeros(grid.size)
-    for row in map_records(recipe.cv_folds, task, workers=workers):
+    for row in map_records(CV_FOLDS, task, workers=workers):
         if row is not None:
             cv_dev += row
     finite = np.isfinite(cv_dev)
@@ -333,8 +333,8 @@ def _fit_path(d: Dataset, recipe: FitRecipe, grid: np.ndarray):
     out = []
     for lam in grid:
         a0, b, conv, it = _cd_penalized(
-            d.outcomes, xs, recipe.estimator, float(lam), a0, b,
-            recipe.max_iter, recipe.tol)
+            d.outcomes, xs, recipe.estimator, float(lam), a0, b, MAX_ITER,
+            TOL)
         out.append(_back_transform(recipe.estimator, a0, b, live, mu, sd,
                                    float(lam), conv, it))
     return out
@@ -375,7 +375,7 @@ def fit(d: Dataset, recipe: FitRecipe,
     any penalty tuning) is what gets resampled. `workers` spreads a CV
     penalty's folds across processes."""
     if recipe.estimator == "ml":
-        return fit_ml(d, recipe)
+        return fit_ml(d)
     return fit_penalized(d, recipe, fold_rng=fold_rng, workers=workers)
 
 

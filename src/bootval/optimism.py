@@ -16,7 +16,7 @@ import numpy as np
 from .data import Dataset
 from .kernel import Patterns, c_statistics, fit_ml_counts, risk_scores
 from .metrics import C_STATISTIC, MetricError, measure_value, no_information
-from .models import FitRecipe, fit, predict
+from .models import MAX_ITER, TOL, FitRecipe, fit, predict
 from .resampling import ResamplePlan, draw, draw_block, map_records, stream
 
 HARRELL = "harrell"
@@ -61,9 +61,9 @@ def two_class_draw(d: Dataset, plan: ResamplePlan, r: int, retry: int = 0):
     """Replicate r's resample from draw `retry` on, redrawn until it holds
     both outcome classes; None once MAX_REDRAWS redraws are spent."""
     for retry in range(retry, MAX_REDRAWS + 1):
-        rs = draw(plan, r, d.n, retry=retry)
-        if 0.0 < d.outcomes[rs.indices].mean() < 1.0:
-            return rs
+        idx = draw(plan, r, d.n, retry=retry)
+        if 0.0 < d.outcomes[idx].mean() < 1.0:
+            return idx
     return None
 
 
@@ -78,7 +78,7 @@ def two_class_block(d: Dataset, plan: ResamplePlan, rs: range):
     for i in np.flatnonzero(~ok):
         redrawn = two_class_draw(d, plan, rs[i], retry=1)
         if redrawn is not None:
-            idx[i], ok[i] = redrawn.indices, True
+            idx[i], ok[i] = redrawn, True
     return idx, ok
 
 
@@ -98,10 +98,10 @@ class _ReplicateTask:
 
     def __call__(self, r: int):
         d, plan = self.d, self.plan
-        rs = two_class_draw(d, plan, r)
-        if rs is None:
+        idx = two_class_draw(d, plan, r)
+        if idx is None:
             return [(r, *_INVALID)]
-        boot_d = d.subset(rs.indices)
+        boot_d = d.subset(idx)
         try:
             model = fit(boot_d, self.recipe, fold_rng=plan.cv_rng(r))
             theta_boot = measure_value(self.measure, predict(model, boot_d),
@@ -110,9 +110,12 @@ class _ReplicateTask:
                                        d.outcomes)
         except (MetricError, ValueError):
             return [(r, *_INVALID)]
+        if not self.oob:
+            return [(r, theta_boot, theta_orig, np.nan, True, False)]
         theta_out, oob_ok = np.nan, False
-        if self.oob and rs.out_of_bag.size > 0:
-            oob_d = d.subset(rs.out_of_bag)
+        out_of_bag = np.flatnonzero(np.bincount(idx, minlength=d.n) == 0)
+        if out_of_bag.size > 0:
+            oob_d = d.subset(out_of_bag)
             y_out = oob_d.outcomes
             if 0.0 < y_out.mean() < 1.0:
                 try:
@@ -152,8 +155,7 @@ class _CountsBlockTask:
             return out
         idx = idx[ok]
         events, trials = pat.counts(idx)
-        beta = fit_ml_counts(pat, events, trials, self.recipe.max_iter,
-                             self.recipe.tol)
+        beta = fit_ml_counts(pat, events, trials, MAX_ITER, TOL)
         samples = [(events, trials), self.orig_counts]
         if self.oob:
             samples.append(pat.counts_outside(idx))

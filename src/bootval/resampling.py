@@ -1,5 +1,10 @@
 """Deterministic, parallelizable bootstrap engine.
 
+A resample is its index vector: n row indices drawn with replacement. The
+out-of-bag rows, which only the 0.632 family reads, are derived from it
+where they are graded. A bootstrap distribution is the array of its valid
+replicate values.
+
 Streams are counter-based (Philox) and keyed structurally by
 (master seed, level path, replicate index, purpose, retry), so replicate r
 of a plan yields the same index vector regardless of execution order or
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,23 +67,12 @@ class ResamplePlan:
         return self.rng(r, purpose=_CV)
 
 
-@dataclass(frozen=True)
-class Resample:
-    indices: np.ndarray
-    out_of_bag: np.ndarray
-
-
-def draw(plan: ResamplePlan, r: int, n: int, retry: int = 0) -> Resample:
-    """Replicate r's resample: n draws with replacement from 0..n-1, plus
-    the sorted out-of-bag complement. Pure function of (seed, level, r,
-    retry, n)."""
+def draw(plan: ResamplePlan, r: int, n: int, retry: int = 0) -> np.ndarray:
+    """Replicate r's resample: the indices of n draws with replacement from
+    0..n-1. Pure function of (seed, level, r, retry, n)."""
     if r >= plan.B:
         raise ResamplingError(f"replicate index {r} out of range (B={plan.B})")
-    rng = plan.rng(r, retry=retry)
-    idx = rng.integers(0, n, size=n)
-    in_bag = np.zeros(n, dtype=bool)
-    in_bag[idx] = True
-    return Resample(indices=idx, out_of_bag=np.flatnonzero(~in_bag))
+    return plan.rng(r, retry=retry).integers(0, n, size=n)
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
@@ -161,7 +155,7 @@ def philox_keys(seed: int, prefix, rs, suffix) -> np.ndarray:
 
 
 def draw_block(plan: ResamplePlan, rs: range, n: int) -> np.ndarray:
-    """draw(plan, r, n).indices for every r in rs, as the rows of a
+    """draw(plan, r, n) for every r in rs, as the rows of a
     (len(rs), n) array.
 
     One Philox and one Generator serve the block: before each row the
@@ -186,28 +180,6 @@ def draw_block(plan: ResamplePlan, rs: range, n: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BootstrapDistribution:
-    values: np.ndarray
-    valid_mask: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        mask = (np.isfinite(values) if self.valid_mask is None
-                else np.asarray(self.valid_mask, dtype=bool))
-        if mask.shape != values.shape:
-            raise ResamplingError("valid_mask must match values in length")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "valid_mask", mask)
-
-    @property
-    def B(self) -> int:
-        return self.values.shape[0]
-
-    def valid_values(self) -> np.ndarray:
-        return self.values[self.valid_mask]
-
-
 def quantile_type7(sorted_values: np.ndarray, q: float) -> float:
     """Linear interpolation between closest order statistics (type 7).
 
@@ -223,12 +195,12 @@ def quantile_type7(sorted_values: np.ndarray, q: float) -> float:
                  + frac * (sorted_values[lo + 1] - sorted_values[lo]))
 
 
-def percentile_interval(dist: BootstrapDistribution,
+def percentile_interval(values: np.ndarray,
                         alpha: float) -> tuple[float, float]:
-    """(q_{alpha/2}, q_{1-alpha/2}) of the valid replicate values."""
+    """(q_{alpha/2}, q_{1-alpha/2}) of the given replicate values."""
     if not 0.0 < alpha < 1.0:
         raise ResamplingError("alpha must be in (0, 1)")
-    vals = np.sort(dist.valid_values())
+    vals = np.sort(values)
     if vals.shape[0] < 2:
         raise ResamplingError("need at least 2 valid replicates")
     return (quantile_type7(vals, alpha / 2.0),

@@ -403,9 +403,10 @@ class _ReplicationTask:
         start = time.monotonic()
         record = self._replicate(i)
         status = "done" if record is not None else "failed"
-        print(f"[bootval] scenario {self.spec.id}: replication "
-              f"{i + 1}/{self.replications} {status} in "
-              f"{time.monotonic() - start:.1f}s", file=sys.stderr, flush=True)
+        # one write per line, so that lines from pool workers never merge
+        sys.stderr.write(f"[bootval] scenario {self.spec.id}: replication "
+                         f"{i + 1}/{self.replications} {status} in "
+                         f"{time.monotonic() - start:.1f}s\n")
         return record
 
     def _replicate(self, i: int):
@@ -491,32 +492,3 @@ def coverage_to_json(results: list[CoverageResult], meta: dict) -> str:
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def write_scenario_params(path, scenario_ids) -> None:
-    """Key-value scenario parameter file (one line per scenario)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for sid in scenario_ids:
-            s = ScenarioSpec.by_id(sid)
-            fh.write(f"scenario={s.id} epv={s.epv} event_rate={s.event_rate} "
-                     f"p={s.p} coefficient_type={s.coefficient_type} "
-                     f"n={s.n}\n")
-
-
-def read_scenario_params(path) -> list[ScenarioSpec]:
-    specs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            kv = dict(item.split("=", 1) for item in line.split())
-            spec = ScenarioSpec(int(kv["scenario"]), int(kv["epv"]),
-                                float(kv["event_rate"]), int(kv["p"]),
-                                int(kv["coefficient_type"]))
-            if "n" in kv and int(kv["n"]) != spec.n:
-                raise SimulationError(
-                    f"scenario {spec.id}: stated n={kv['n']} does not match "
-                    f"the derived value {spec.n}")
-            specs.append(spec)
-    return specs

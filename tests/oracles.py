@@ -16,9 +16,9 @@ import math
 
 import numpy as np
 
-from .data import Dataset
-from .models import FitRecipe, fit, log_likelihood, predict
-from .resampling import ResamplePlan, inner_level, stream
+from bootval.data import Dataset
+from bootval.models import FitRecipe, fit, log_likelihood, predict
+from bootval.resampling import ResamplePlan, inner_level, stream
 
 
 def auc_bruteforce(scores, outcomes) -> float:

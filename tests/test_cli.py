@@ -186,6 +186,15 @@ def test_simulate_rejects_bad_scenario(tmp_path, capsys):
     assert "no scenario 99" in capsys.readouterr().err
 
 
+def test_simulate_has_no_scenario_params_option(tmp_path, capsys):
+    # scenarios are named by id; a parameter file could only repeat them
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario-params", str(tmp_path / "s.txt"),
+              "--output-prefix", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "--scenario-params" in capsys.readouterr().err
+
+
 def test_parser_defaults():
     args = build_parser().parse_args(
         ["simulate", "--output-prefix", "cov"])

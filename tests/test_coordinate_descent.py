@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from bootval.data import Dataset
-from bootval.models import (FitRecipe, _cd_penalized, _FoldPathTask,
-                            _fold_assignment, _standardize, _sum_log1pexp,
-                            fit_penalized, lambda_grid, lasso_lambda_max,
-                            logistic)
+from bootval.models import (CV_FOLDS, FitRecipe, _cd_penalized,
+                            _FoldPathTask, _fold_assignment, _standardize,
+                            _sum_log1pexp, fit_penalized, lambda_grid,
+                            lasso_lambda_max, logistic)
 from bootval.resampling import stream
 
 from conftest import make_dataset
@@ -163,9 +163,9 @@ def test_single_class_fold_is_skipped():
     d = Dataset(y, d.predictors)
     recipe = FitRecipe("ridge", n_lambdas=10)
     grid = lambda_grid(d, recipe)
-    folds = _fold_assignment(d.n, recipe.cv_folds, stream(2, 0))
+    folds = _fold_assignment(d.n, CV_FOLDS, stream(2, 0))
     task = _FoldPathTask(d, recipe, grid, folds)
-    rows = [task(k) for k in range(recipe.cv_folds)]
+    rows = [task(k) for k in range(CV_FOLDS)]
     assert [k for k, row in enumerate(rows) if row is None] == [folds[7]]
     cv_dev = np.zeros(grid.size)
     for row in rows:

@@ -10,11 +10,11 @@ from bootval.metrics import C_STATISTIC, delong_ci, measure_value
 from bootval.models import FitRecipe, predict
 from bootval.optimism import (METHODS, apparent_fit, correct,
                               evaluate_replicates)
-from bootval.oracles import (location_shifted_reference, percentile_oracle,
-                             two_stage_reference)
 from bootval.resampling import ResamplePlan
 
 from conftest import make_dataset
+from oracles import (location_shifted_reference, percentile_oracle,
+                     two_stage_reference)
 
 
 def interval(d, recipe, plan, method, alpha=0.05, **kw):

@@ -10,12 +10,11 @@ from bootval.metrics import (C_STATISTIC, CALIBRATION_SLOPE, MetricError,
                              calibration_slope, delong_ci, delong_variance,
                              measure_value, no_information)
 from bootval.models import FittedModel, RiskScores, predict
-from bootval.oracles import (auc_bruteforce, gridsearch_slope_1d,
-                             jackknife_auc_variance,
-                             permutation_no_information)
 from bootval.simulation import CovariateGenerator, GeneratorConfig
 
 from conftest import make_dataset
+from oracles import (auc_bruteforce, gridsearch_slope_1d,
+                     jackknife_auc_variance, permutation_no_information)
 
 
 def scores_of(values):

@@ -9,10 +9,10 @@ from bootval.models import (FitError, FitRecipe, _cd_penalized, _standardize,
                             lasso_lambda_max, log_likelihood,
                             log_likelihood_gradient, logistic,
                             penalized_objective, predict)
-from bootval.oracles import gridsearch_logistic_2d
 from bootval.resampling import stream
 
 from conftest import make_dataset
+from oracles import gridsearch_logistic_2d
 
 
 def test_recipe_validation():

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
+from bootval.data import Dataset
 from bootval.metrics import CALIBRATION_SLOPE, C_STATISTIC, no_information
 from bootval.models import FitRecipe, predict
 from bootval.intervals import validate
 from bootval.optimism import (HARRELL, P632, P632PLUS, OptimismError,
-                              OptimismResult, ReplicateSet, apparent_fit,
-                              correct, evaluate_replicates,
+                              OptimismResult, ReplicateSet, _ReplicateTask,
+                              apparent_fit, correct, evaluate_replicates,
                               harrell_from_replicates, p632_from_replicates,
-                              p632plus_from_replicates)
-from bootval.oracles import _corrected_reference
+                              p632plus_from_replicates, two_class_draw)
 from bootval.resampling import ResamplePlan
 
 from conftest import make_dataset
+from oracles import _corrected_reference
 
 
 def reps_of(boot, orig, out=None):
@@ -158,6 +159,37 @@ def test_evaluation_without_out_of_bag_keeps_the_other_values(measure):
                               equal_nan=True), field
     assert np.isnan(lean.theta_out).all() and not lean.oob_valid.any()
     assert full.oob_valid.any()
+
+
+def test_replicate_task_out_of_bag_partitions_index_set(monkeypatch):
+    # the per-replicate path subsets the resample, then, for a 0.632-family
+    # correction, the rows it leaves out: sorted, disjoint from the
+    # resample and, with it, every row
+    d = make_dataset(17, n=200, p=2)
+    plan = ResamplePlan(4, 9)
+    subsets = []
+    subset = Dataset.subset
+
+    def recording(self, rows):
+        subsets.append(rows)
+        return subset(self, rows)
+
+    monkeypatch.setattr(Dataset, "subset", recording)
+    for oob in (True, False):
+        task = _ReplicateTask(d, FitRecipe("ml"), CALIBRATION_SLOPE, plan,
+                              oob)
+        for r in range(plan.B):
+            subsets.clear()
+            [(_, _, _, theta_out, ok, oob_ok)] = task(r)
+            assert ok and oob_ok == oob
+            assert np.array_equal(subsets[0], two_class_draw(d, plan, r))
+            if not oob:
+                assert len(subsets) == 1 and np.isnan(theta_out)
+                continue
+            in_bag, out = np.unique(subsets[0]), subsets[1]
+            assert np.intersect1d(in_bag, out).size == 0
+            assert np.array_equal(np.union1d(in_bag, out), np.arange(d.n))
+            assert np.array_equal(out, np.sort(out))
 
 
 def test_unknown_method_rejected():

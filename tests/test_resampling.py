@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 from bootval import optimism
 from bootval.data import Dataset
-from bootval.optimism import two_class_block, two_class_draw
-from bootval.oracles import percentile_oracle
-from bootval.resampling import (OUTER, BootstrapDistribution, ResamplePlan,
-                                ResamplingError, draw, draw_block,
-                                inner_level, map_indices, percentile_interval,
-                                philox_keys, quantile_type7, stream)
+from bootval.intervals import apparent_bootstrap_ci, two_stage_ci
+from bootval.optimism import (HARRELL, OptimismResult, ReplicateSet,
+                              two_class_block, two_class_draw)
+from bootval.resampling import (OUTER, ResamplePlan, ResamplingError, draw,
+                                draw_block, inner_level, map_indices,
+                                percentile_interval, philox_keys,
+                                quantile_type7, stream)
+
+from oracles import percentile_oracle
 
 
 def test_plan_validation():
@@ -19,27 +22,19 @@ def test_plan_validation():
 
 
 def test_draw_n_equals_one():
-    rs = draw(ResamplePlan(5, 1), 0, 1)
-    assert np.array_equal(rs.indices, [0])
-    assert rs.out_of_bag.size == 0
+    assert np.array_equal(draw(ResamplePlan(5, 1), 0, 1), [0])
 
 
 def test_draw_is_deterministic():
     plan = ResamplePlan(10, 42)
-    a = draw(plan, 3, 50)
-    b = draw(plan, 3, 50)
-    assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.out_of_bag, b.out_of_bag)
+    assert np.array_equal(draw(plan, 3, 50), draw(plan, 3, 50))
 
 
-def test_draw_partitions_index_set():
-    rs = draw(ResamplePlan(4, 9), 1, 200)
-    assert rs.indices.shape == (200,)
-    assert np.all(rs.indices < 200)
-    in_bag = np.unique(rs.indices)
-    assert np.intersect1d(in_bag, rs.out_of_bag).size == 0
-    assert np.array_equal(np.union1d(in_bag, rs.out_of_bag), np.arange(200))
-    assert np.array_equal(rs.out_of_bag, np.sort(rs.out_of_bag))
+def test_draw_indices_in_range():
+    # the out-of-bag set is built where it is graded (test_optimism)
+    idx = draw(ResamplePlan(4, 9), 1, 200)
+    assert idx.shape == (200,) and idx.dtype == np.int64
+    assert np.all((0 <= idx) & (idx < 200))
 
 
 def test_draw_differs_across_replicates_retries_and_levels():
@@ -48,9 +43,9 @@ def test_draw_differs_across_replicates_retries_and_levels():
     b = draw(plan, 1, 100)
     c = draw(plan, 0, 100, retry=1)
     inner = draw(ResamplePlan(4, 9, level=inner_level(0)), 0, 100)
-    assert not np.array_equal(a.indices, b.indices)
-    assert not np.array_equal(a.indices, c.indices)
-    assert not np.array_equal(a.indices, inner.indices)
+    assert not np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert not np.array_equal(a, inner)
 
 
 def test_draw_out_of_range():
@@ -83,10 +78,10 @@ def test_draw_block_equals_draw():
             plan = ResamplePlan(130, seed, level)  # not a multiple of 100
             for n in (1, 2, 255, 256, 257):
                 for rs in (range(0, 3), range(100, 130)):
-                    want = [draw(plan, r, n).indices for r in rs]
+                    want = [draw(plan, r, n) for r in rs]
                     assert np.array_equal(draw_block(plan, rs, n), want)
     plan = ResamplePlan(3, 5, inner_level(2**32 + 1))
-    want = [draw(plan, r, 65_537).indices for r in range(3)]
+    want = [draw(plan, r, 65_537) for r in range(3)]
     assert np.array_equal(draw_block(plan, range(3), 65_537), want)
 
 
@@ -103,12 +98,11 @@ def test_two_class_block_equals_two_class_draw(events, n, max_redraws,
     plan = ResamplePlan(130, 8, inner_level(3))
     idx, ok = two_class_block(d, plan, range(100, 130))
     want = [two_class_draw(d, plan, r) for r in range(100, 130)]
-    assert np.array_equal(ok, [rs is not None for rs in want])
-    got = [rs for rs in want if rs is not None]
-    assert all(np.array_equal(row, rs.indices)
-               for row, rs in zip(idx[ok], got))
+    assert np.array_equal(ok, [w is not None for w in want])
+    got = [w for w in want if w is not None]
+    assert all(np.array_equal(row, w) for row, w in zip(idx[ok], got))
     redrawn = [r for r in range(100, 130)
-               if not 0 < y[draw(plan, r, n).indices].sum() < n]
+               if not 0 < y[draw(plan, r, n)].sum() < n]
     assert redrawn and (ok.all() == (max_redraws > 1))
 
 
@@ -146,39 +140,45 @@ def test_quantile_on_integers_matches_oracle():
 
 
 def test_percentile_interval_constant_distribution():
-    dist = BootstrapDistribution(np.full(20, 0.7))
-    assert percentile_interval(dist, 0.05) == (0.7, 0.7)
+    assert percentile_interval(np.full(20, 0.7), 0.05) == (0.7, 0.7)
 
 
 def test_percentile_interval_permutation_invariant():
     rng = np.random.default_rng(4)
     values = rng.random(500)
-    a = percentile_interval(BootstrapDistribution(values), 0.05)
-    b = percentile_interval(BootstrapDistribution(values[::-1].copy()), 0.05)
+    a = percentile_interval(values, 0.05)
+    b = percentile_interval(values[::-1].copy(), 0.05)
     assert a == b
 
 
 def test_percentile_interval_uses_only_valid_replicates():
+    # the intervals pass only the valid replicates' values
     values = np.array([0.1, 0.2, 0.3, 99.0])
     mask = np.array([True, True, True, False])
-    lo, hi = percentile_interval(BootstrapDistribution(values, mask), 0.5)
-    assert hi < 1.0
+    want = percentile_interval(values[:3], 0.5)
+    assert want[1] < 1.0
+    reps = ReplicateSet(values, values, np.full(4, np.nan), mask,
+                        np.zeros(4, dtype=bool))
+    app = apparent_bootstrap_ci(0.2, reps, 0.5)
+    assert (app.lower, app.upper) == want
+    outer = np.where(mask, values, np.nan)
+    two = two_stage_ci(OptimismResult(HARRELL, 0.75, 0.5, 0.25), outer, 5,
+                       0.5)
+    assert (two.lower, two.upper) == want and two.n_valid == 3
 
 
 def test_percentile_interval_validation():
-    dist = BootstrapDistribution(np.array([0.5, np.nan]))
     with pytest.raises(ResamplingError, match="at least 2"):
-        percentile_interval(dist, 0.05)
+        percentile_interval(np.array([0.5]), 0.05)
     with pytest.raises(ResamplingError, match="alpha"):
-        percentile_interval(BootstrapDistribution(np.array([0.1, 0.2])), 0.0)
+        percentile_interval(np.array([0.1, 0.2]), 0.0)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=200),
        st.floats(0.01, 0.99))
 def test_interval_bounds_within_data_range(values, alpha):
-    dist = BootstrapDistribution(np.array(values))
-    lo, hi = percentile_interval(dist, alpha)
+    lo, hi = percentile_interval(np.array(values), alpha)
     assert min(values) <= lo <= hi <= max(values)
 
 
@@ -193,7 +193,7 @@ class _SeedSensitiveTask:
         self.n = n
 
     def __call__(self, r):
-        return float(draw(self.plan, r, self.n).indices.mean())
+        return float(draw(self.plan, r, self.n).mean())
 
 
 class _SometimesInvalid:
@@ -248,6 +248,7 @@ def test_oob_fraction_near_e_inverse():
     # quick version of the acceptance check (full version in acceptance)
     plan = ResamplePlan(500, 3)
     n = 500
-    frac = np.mean([draw(plan, r, n).out_of_bag.size / n
+    frac = np.mean([np.count_nonzero(np.bincount(draw(plan, r, n),
+                                                 minlength=n) == 0) / n
                     for r in range(plan.B)])
     assert abs(frac - 0.368) < 0.01

@@ -7,8 +7,7 @@ from bootval.simulation import (BINARY_NAMES, COLUMN_NAMES,
                                 calibrate_intercept, coverage_to_csv,
                                 coverage_to_json, CoverageResult, derive_n,
                                 estimate_true_auc, generate_cohort,
-                                read_scenario_params,
-                                true_risk_score, write_scenario_params)
+                                true_risk_score)
 from bootval.metrics import c_statistic_value
 from bootval.resampling import stream
 
@@ -213,11 +212,3 @@ def test_coverage_serialization_shapes():
     payload = json.loads(coverage_to_json(rows, {"seed": 1}))
     assert payload["meta"]["seed"] == 1
     assert len(payload["results"]) == 2
-
-
-def test_scenario_params_roundtrip(tmp_path):
-    path = tmp_path / "scenarios.txt"
-    write_scenario_params(path, [1, 5, 17, 21])
-    specs = read_scenario_params(path)
-    assert [s.id for s in specs] == [1, 5, 17, 21]
-    assert specs[3].n == 5440
