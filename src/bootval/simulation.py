@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -24,16 +25,17 @@ from importlib import resources
 
 import numpy as np
 # ndtri and ndtr are what scipy.stats.norm's ppf and cdf evaluate. The
-# scipy.stats and scipy.optimize imports (about 1.2 s) are deferred to the
-# functions that need them, so that importing this module, as `validate`
-# does, loads neither.
+# bivariate normal tail and the root finder below follow SciPy's own code
+# operation for operation, so building a generator returns the same bits
+# without loading scipy.stats or scipy.optimize (about 0.7 s of imports).
 from scipy.special import ndtr, ndtri
 
-from .data import Dataset
-from .intervals import parse_method, validate
-from .metrics import C_STATISTIC, c_statistic_value
-from .models import FitRecipe, logistic
-from .resampling import ResamplePlan, map_records, stream
+from .data import Dataset, DataError
+from .intervals import IntervalError, parse_method, validate
+from .metrics import C_STATISTIC, MetricError, c_statistic_value
+from .models import FitError, FitRecipe, logistic
+from .optimism import OptimismError
+from .resampling import ResamplePlan, ResamplingError, map_records, stream
 # Not called here: bench/launch.py times these layers through the names
 # this module imports.
 from .intervals import two_stage_ci  # noqa: F401
@@ -192,22 +194,190 @@ def _phi_bounds(p1: float, p2: float) -> tuple[float, float]:
     return lo, hi
 
 
+#: scipy.optimize.brentq's defaults: relative tolerance and iteration cap
+_BRENT_RTOL = 4 * float(np.finfo(float).eps)
+_BRENT_MAXITER = 100
+
+
+def _brent_value(f, x: float) -> float:
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(f"the function value at x={x} is NaN")
+    return fx
+
+
+def brentq(f, a: float, b: float, xtol: float) -> float:
+    """A root of f in [a, b] by Brent's method (Brent 1973, *Algorithms for
+    Minimization without Derivatives*, ch. 4). Each step is that of SciPy's
+    optimize/Zeros/brentq.c at its default rtol (4 eps) and 100 iterations,
+    so the root is the float scipy.optimize.brentq(f, a, b, xtol=xtol)
+    returns. Raises ValueError if f(a) and f(b) have the same sign or f is
+    NaN, and RuntimeError if the iterations run out."""
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = _brent_value(f, xpre), _brent_value(f, xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        bisect = True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # C gets an infinite or NaN step here, which bisects
+                stry = math.inf
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                spre, scur = scur, stry  # good short step
+                bisect = False
+        if bisect:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _brent_value(f, xcur)
+    raise RuntimeError(f"failed to converge after {_BRENT_MAXITER} "
+                       f"iterations, value is {xcur}")
+
+
+def _phi(z: float) -> float:
+    """Standard normal CDF in Genz's erfc form, which can differ from ndtr
+    in the last bit."""
+    return math.erfc(-z / math.sqrt(2)) / 2
+
+
+def _gauss_legendre(weights, nodes):
+    """Weights and abscissae of the rule on [0, 2], in the order Genz sums
+    them: the points 1 - x, then 1 + x."""
+    return (weights + weights,
+            tuple(1 - x for x in nodes) + tuple(1 + x for x in nodes))
+
+
+#: Gauss-Legendre rules of 6, 12 and 20 points (half of each listed)
+_GL6, _GL12, _GL20 = (_gauss_legendre(*rule) for rule in (
+    ((0.1713244923791705, 0.3607615730481384, 0.4679139345726904),
+     (0.9324695142031522, 0.6612093864662647, 0.2386191860831970)),
+    ((.04717533638651177, 0.1069393259953183, 0.1600783285433464,
+      0.2031674267230659, 0.2334925365383547, 0.2491470458134029),
+     (0.9815606342467191, 0.9041172563704750, 0.7699026741943050,
+      0.5873179542866171, 0.3678314989981802, 0.1252334085114692)),
+    ((.01761400713915212, .04060142980038694, .06267204833410906,
+      .08327674157670475, 0.1019301198172404, 0.1181945319615184,
+      0.1316886384491766, 0.1420961093183821, 0.1491729864726037,
+      0.1527533871307259),
+     (0.9931285991850949, 0.9639719272779138, 0.9122344282513259,
+      0.8391169718222188, 0.7463319064601508, 0.6360536807265150,
+      0.5108670019508271, 0.3737060887154196, 0.2277858511416451,
+      0.07652652113349733))))
+
+
+def bvnu(h: float, k: float, r: float) -> float:
+    """P(X > h, Y > k) for standard normals X, Y with correlation r, by
+    Genz's BVNU (Genz 2004, *Statistics and Computing* 14:251, after
+    Drezner & Wesolowsky 1990). The operations and their order are those
+    of SciPy's scipy.stats._stats_pythran._bvnu, so the result is the same
+    float: the quadrature sums run in node order, and squares are products,
+    since Python's x**2 calls pow, which can differ from x * x in the last
+    bit. For finite h and k no exponent exceeds 50, so math.exp, which
+    raises where C overflows to inf, cannot overflow."""
+    if h == math.inf or k == math.inf:
+        return 0.0
+    if h == -math.inf:
+        return 1.0 if k == -math.inf else _phi(-k)
+    if k == -math.inf:
+        return _phi(-h)
+    if r == 0:
+        return _phi(-h) * _phi(-k)
+    tp = 2 * math.pi
+    hk = h * k
+    w, x = _GL6 if abs(r) < 0.3 else _GL12 if abs(r) < 0.75 else _GL20
+    if abs(r) < 0.925:
+        hs = (h * h + k * k) / 2
+        asr = math.asin(r) / 2
+        total = 0.0
+        for wi, xi in zip(w, x):
+            sn = math.sin(asr * xi)
+            total += math.exp((sn * hk - hs) / (1 - sn * sn)) * wi
+        return max(0.0, min(1.0, total * asr / tp + _phi(-h) * _phi(-k)))
+    if r < 0:
+        k, hk = -k, -hk
+    bvn = 0.0
+    if abs(r) < 1:
+        as_ = 1 - r * r
+        a = math.sqrt(as_)
+        bs = (h - k) * (h - k)
+        asr = -(bs / as_ + hk) / 2
+        c = (4 - hk) / 8
+        d = (12 - hk) / 80
+        if asr > -100:
+            bvn = a * math.exp(asr) * (1 - c * (bs - as_) * (1 - d * bs) / 3
+                                       + c * d * (as_ * as_))
+        if hk > -100:
+            b = math.sqrt(bs)
+            sp = math.sqrt(tp) * _phi(-b / a)
+            bvn = bvn - math.exp(-hk / 2) * sp * b * (
+                1 - c * bs * (1 - d * bs) / 3)
+        a = a / 2
+        total = 0.0
+        for wi, xi in zip(w, x):
+            xs = (a * xi) * (a * xi)
+            asr = -(bs / xs + hk) / 2
+            if asr > -100:
+                sp = 1 + c * xs * (1 + 5 * d * xs)
+                rs = math.sqrt(1 - xs)
+                ep = math.exp(-(hk / 2) * xs / ((1 + rs) * (1 + rs))) / rs
+                total += math.exp(asr) * (ep - sp) * wi
+        bvn = -(bvn + a * total) / tp
+    if r > 0:
+        bvn = bvn + _phi(-max(h, k))
+    elif h >= k:
+        bvn = -bvn
+    else:
+        low = _phi(k) - _phi(h) if h < 0 else _phi(-h) - _phi(-k)
+        bvn = low - bvn
+    return max(0.0, min(1.0, bvn))
+
+
+def bvn_cdf(t1: float, t2: float, r: float) -> float:
+    """P(Z1 <= t1, Z2 <= t2) for standard normals with correlation r, by
+    the expression scipy.stats.multivariate_normal.cdf evaluates for it."""
+    return max(0.0, min(1.0 - _phi(-t1) - _phi(-t2) + bvnu(t1, t2, r), 1.0))
+
+
 def _latent_rho(p1: float, p2: float, target: float) -> float:
     """Latent normal correlation whose dichotomization (at the marginal
     thresholds) reproduces the target binary correlation."""
     if target == 0.0:
         return 0.0
-    from scipy.optimize import brentq
-    from scipy.stats import multivariate_normal
-    t1 = ndtri(1.0 - p1)
-    t2 = ndtri(1.0 - p2)
+    t1 = float(ndtri(1.0 - p1))
+    t2 = float(ndtri(1.0 - p2))
     joint_target = p1 * p2 + target * np.sqrt(
         p1 * (1 - p1) * p2 * (1 - p2))
 
     def upper_tail(rho):
-        cdf = multivariate_normal.cdf([t1, t2], mean=[0.0, 0.0],
-                                      cov=[[1.0, rho], [rho, 1.0]])
-        return 1.0 - ndtr(t1) - ndtr(t2) + cdf
+        return 1.0 - ndtr(t1) - ndtr(t2) + bvn_cdf(t1, t2, rho)
 
     return brentq(lambda r: upper_tail(r) - joint_target, -0.999, 0.999,
                   xtol=1e-10)
@@ -247,6 +417,10 @@ class CovariateGenerator:
         k = marg.size
         if corr.shape != (k, k) or not np.allclose(corr, corr.T):
             raise SimulationError("binary correlation matrix malformed")
+        for name, m in zip(BINARY_NAMES, marg):
+            if not 0.0 < m < 1.0:
+                raise SimulationError(
+                    f"binary marginal {m} of {name} must lie in (0, 1)")
         latent = np.eye(k)
         for i in range(k):
             for j in range(i + 1, k):
@@ -330,8 +504,7 @@ def calibrate_intercept(gen: CovariateGenerator, slopes: np.ndarray,
     lo, up = base - 15.0, base + 15.0
     if excess(lo) > 0 or excess(up) < 0:
         raise SimulationError("intercept root not bracketed; check slopes")
-    from scipy.optimize import brentq
-    return float(brentq(excess, lo, up, xtol=1e-10))
+    return brentq(excess, lo, up, xtol=1e-10)
 
 
 def generate_cohort(gen: CovariateGenerator, model: TrueModel, p: int,
@@ -418,7 +591,8 @@ class _ReplicationTask:
             result = validate(d, FitRecipe("ml"), C_STATISTIC, plan,
                               methods=self.methods, inner_B=self.inner_B,
                               alpha=self.alpha)
-        except (ValueError, ArithmeticError):
+        except (DataError, FitError, MetricError, ResamplingError,
+                OptimismError, IntervalError):
             return None  # replication-level failure, recorded not fatal
         return {method: (est.contains(self.model.true_auc), est.width)
                 for method, est in zip(self.methods, result.intervals)}

@@ -170,13 +170,31 @@ def test_simulate_progress_goes_to_stderr_once_per_replication(tmp_path):
     assert all(seconds.endswith("s") for _, seconds in progress)
 
 
+SCIPY_STATS_OR_OPTIMIZE = (
+    "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+    "(['scipy', 'stats'], ['scipy', 'optimize'])))")
+
+
 def test_import_loads_neither_scipy_stats_nor_scipy_optimize():
-    # Importing scipy.stats costs about 1.2 s, most of a small validate
-    # run; only simulate may load it, when it builds a generator.
+    # Importing scipy.stats and scipy.optimize costs about 0.7 s, much of a
+    # small validate run.
     done = run_python(
         "import sys, bootval, bootval.cli, bootval.simulation; "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-        "(['scipy', 'stats'], ['scipy', 'optimize'])))")
+        + SCIPY_STATS_OR_OPTIMIZE)
+    assert done.stdout.strip() == "[]"
+
+
+def test_simulate_loads_neither_scipy_stats_nor_scipy_optimize(tmp_path):
+    # The generator's bivariate normal tail and both root searches are
+    # local ports, so a whole simulate run needs neither module.
+    done = run_python(
+        "import sys; from bootval.cli import main; status = main(["
+        "'simulate', '--scenarios', '1', '--replications', '1', "
+        "'--B', '5', '--inner-B', '5', "
+        "'--workers', '1', '--calibration-n', '20000', "
+        "'--estimand-n', '5000', '--output-prefix', 'cov']); "
+        "status and sys.exit(status); " + SCIPY_STATS_OR_OPTIMIZE,
+        cwd=tmp_path)
     assert done.stdout.strip() == "[]"
 
 

@@ -1,14 +1,25 @@
+import math
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
+from scipy.special import ndtr, ndtri
+from scipy.stats import multivariate_normal
 
+from bootval import simulation
+from bootval.intervals import IntervalError
 from bootval.simulation import (BINARY_NAMES, COLUMN_NAMES,
                                 CovariateGenerator, GeneratorConfig,
                                 ScenarioSpec, SimulationError, TrueModel,
-                                calibrate_intercept, coverage_to_csv,
-                                coverage_to_json, CoverageResult, derive_n,
-                                estimate_true_auc, generate_cohort,
+                                brentq, bvn_cdf, calibrate_intercept,
+                                coverage_to_csv, coverage_to_json,
+                                CoverageResult, derive_n, estimate_true_auc,
+                                generate_cohort, run_scenario,
                                 true_risk_score)
 from bootval.metrics import c_statistic_value
+from bootval.models import logistic
 from bootval.resampling import stream
 
 
@@ -107,9 +118,174 @@ def test_infeasible_binary_correlation_rejected():
     cfg = GeneratorConfig.default()
     bad = cfg.binary_correlations.copy()
     bad[0, 1] = bad[1, 0] = 0.99  # infeasible for small marginals
-    from dataclasses import replace
     with pytest.raises(SimulationError, match="infeasible"):
         CovariateGenerator(replace(cfg, binary_correlations=bad))
+
+
+@pytest.mark.parametrize("marginal", [0.0, 1.0, -0.1])
+def test_binary_marginal_outside_unit_interval_rejected(marginal):
+    cfg = GeneratorConfig.default()
+    marg = cfg.binary_marginals.copy()
+    marg[2] = marginal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no sqrt or division warning
+        with pytest.raises(SimulationError,
+                           match=f"marginal {marginal} of {BINARY_NAMES[2]}"):
+            CovariateGenerator(replace(cfg, binary_marginals=marg))
+
+
+def record_calls(f, calls):
+    def g(x):
+        calls.append(x)
+        return f(x)
+    return g
+
+
+def assert_brentq_matches_scipy(f, a, b, xtol):
+    """The same root, from the same sequence of evaluation points."""
+    ours, theirs = [], []
+    root = brentq(record_calls(f, ours), a, b, xtol=xtol)
+    want = scipy_brentq(record_calls(f, theirs), a, b, xtol=xtol)
+    assert type(root) is float
+    assert root == want
+    assert ours == theirs
+
+
+def test_brentq_matches_scipy_on_random_monotone_functions():
+    rng = np.random.default_rng(20)
+    shapes = (
+        lambda x, r, s: math.tanh(s * (x - r)),
+        lambda x, r, s: s * (x - r) ** 3 + 1e-3 * (x - r),
+        lambda x, r, s: math.expm1(min(s * (x - r), 700.0)),
+        lambda x, r, s: math.copysign(abs(x - r) ** 0.2, x - r),
+        lambda x, r, s: math.atan(x - r) * s - 0.3 * (x > r + 1),
+    )
+    for i in range(2000):
+        root, scale = rng.normal(0, 3), rng.uniform(0.01, 100)
+        shape = shapes[i % len(shapes)]
+        a = root - rng.uniform(0, 10)
+        b = root + rng.uniform(0, 10)
+        if i % 2:
+            a, b = b, a
+        xtol = 10.0 ** rng.uniform(-300, -1) if i % 3 else 1e-10
+        assert_brentq_matches_scipy(
+            lambda x: shape(x, root, scale), a, b, xtol)
+
+
+def test_brentq_matches_scipy_on_calibration_excess():
+    cfg = GeneratorConfig.default()
+    gen = CovariateGenerator(cfg)
+    for (p, t), rate in (((8, 1), 0.125), ((17, 2), 0.0625)):
+        slopes = cfg.coefficients[(p, t)]
+        lp = gen.sample(20_000, stream(3, 3, 0))[:, :slopes.size] @ slopes
+        base = math.log(rate / (1.0 - rate))
+
+        def excess(b0):
+            return float(logistic(b0 + lp).mean()) - rate
+        assert_brentq_matches_scipy(excess, base - 15.0, base + 15.0, 1e-10)
+
+
+def test_brentq_matches_scipy_where_the_extrapolation_divides_by_zero():
+    # f is so small that dblk * dpre * (fblk - fpre) underflows to 0; C
+    # then gets a non-finite step and bisects, where Python would raise
+    def f(x):
+        return 1e-160 * ((x - 0.3) + (x - 0.3) ** 3)
+    assert_brentq_matches_scipy(f, -1.0, 2.0, 1e-10)
+
+
+def test_brentq_raises_as_scipy_does():
+    def same_sign(x):
+        return x * x + 1.0
+
+    def nan_inside(x):
+        return math.nan if x < 1.0 else x - 0.5
+
+    def step(x):
+        return 1.0 if x > 0.1 else -1.0
+    for f, a, b, xtol, error in ((same_sign, -1.0, 1.0, 1e-10, ValueError),
+                                 (nan_inside, 0.0, 2.0, 1e-10, ValueError),
+                                 (step, -1e300, 1e300, 5e-324,
+                                  RuntimeError)):
+        with pytest.raises(error):
+            scipy_brentq(f, a, b, xtol=xtol)
+        with pytest.raises(error):
+            brentq(f, a, b, xtol=xtol)
+
+
+@pytest.mark.parametrize("band", [(0.0, 0.3), (0.3, 0.75), (0.75, 0.925),
+                                  (0.925, 0.9999)])
+def test_bvn_cdf_matches_multivariate_normal(band):
+    rng = np.random.default_rng(int(band[0] * 1000))
+    for _ in range(50):
+        r = float(rng.uniform(*band) * rng.choice([-1, 1]))
+        t = rng.normal(0, 2, (100, 2))
+        # ties h = k once k is flipped for r < 0 are where the |r| >= 0.925
+        # branch's closed-form term counts; wide ones cancel the most
+        t[50:] = rng.normal(0, 8, (50, 1))
+        t[75:, 1] *= -1
+        want = multivariate_normal.cdf(t, mean=[0.0, 0.0],
+                                       cov=[[1.0, r], [r, 1.0]])
+        got = [bvn_cdf(t1, t2, r) for t1, t2 in t.tolist()]
+        assert got == want.tolist()
+
+
+def scipy_latent_rho(p1, p2, target):
+    """simulation._latent_rho as it was written with scipy.stats and
+    scipy.optimize, frozen here as the reference for the local port."""
+    if target == 0.0:
+        return 0.0
+    t1 = ndtri(1.0 - p1)
+    t2 = ndtri(1.0 - p2)
+    joint_target = p1 * p2 + target * np.sqrt(
+        p1 * (1 - p1) * p2 * (1 - p2))
+
+    def upper_tail(rho):
+        cdf = multivariate_normal.cdf([t1, t2], mean=[0.0, 0.0],
+                                      cov=[[1.0, rho], [rho, 1.0]])
+        return 1.0 - ndtr(t1) - ndtr(t2) + cdf
+
+    return scipy_brentq(lambda r: upper_tail(r) - joint_target, -0.999,
+                        0.999, xtol=1e-10)
+
+
+def test_latent_rho_matches_scipy_version():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        p1, p2 = (np.float64(p) for p in rng.uniform(0.02, 0.98, 2))
+        lo, hi = simulation._phi_bounds(p1, p2)
+        target = np.float64(rng.uniform(0.9 * lo, 0.9 * hi))
+        got = simulation._latent_rho(p1, p2, target)
+        assert got == scipy_latent_rho(p1, p2, target)
+
+
+def test_default_latent_cholesky_matches_scipy_version(monkeypatch):
+    cfg = GeneratorConfig.default()
+    ours = CovariateGenerator(cfg)
+    monkeypatch.setattr(simulation, "_latent_rho", scipy_latent_rho)
+    theirs = CovariateGenerator(cfg)
+    assert np.array_equal(ours._latent_chol, theirs._latent_chol)
+
+
+@pytest.mark.parametrize("error", [ValueError("plain"), ZeroDivisionError()])
+def test_run_scenario_propagates_errors_outside_the_library(monkeypatch,
+                                                            error):
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(simulation, "validate", fail)
+    with pytest.raises(type(error)):
+        run_scenario(ScenarioSpec.by_id(1), ["delong"], replications=2, B=5,
+                     inner_B=5, seed=1, calibration_n=20_000,
+                     estimand_n=5_000)
+
+
+def test_run_scenario_counts_library_errors_as_failures(monkeypatch):
+    def fail(*args, **kwargs):
+        raise IntervalError("all outer replicates invalid")
+    monkeypatch.setattr(simulation, "validate", fail)
+    [result] = run_scenario(ScenarioSpec.by_id(1), ["delong"],
+                            replications=2, B=5, inner_B=5, seed=1,
+                            calibration_n=20_000, estimand_n=5_000)
+    assert result.failures == 2 and result.replications == 0
 
 
 def test_calibrate_intercept_closed_forms():
