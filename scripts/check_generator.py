@@ -1,11 +1,12 @@
 """Check the generator's local numerics against the SciPy routines they
-follow, bit for bit.
+follow, and its streamed linear predictor against the one-shot product,
+bit for bit.
 
 Usage (from the root of a checkout):
 
-    PYTHONPATH=src python3 scripts/check_generator.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/check_generator.py
 
-Four comparisons:
+Five comparisons:
 
 - simulation.bvn_cdf against scipy.stats.multivariate_normal.cdf on over
   10**6 points (t1, t2, r), a quarter in each of Genz's |r| bands (below
@@ -14,18 +15,28 @@ Four comparisons:
   monotone functions: the same root from the same evaluation points;
 - simulation._latent_rho against its SciPy form on random feasible
   marginals and binary correlations;
+- the linear predictor of every scenario at seeds 1 and 2, streamed block
+  by block as the library computes it and as one product per sample of
+  the whole predictor matrix: at calibration size (1,000,000 rows, and the
+  ragged 1,000,003, in 200,000-row chunks) and at estimand size (500,000
+  and 500,003 rows in one chunk), each with the stream's next draw;
 - the full-size set-up of scenarios 1, 5, 17 and 21 (calibration_n
-  1,000,000, estimand_n 500,000, seed 1), once as the library runs it and
-  once with multivariate_normal.cdf and scipy.optimize.brentq put back:
-  the latent Cholesky factor, the calibrated intercept and the true AUC.
+  1,000,000, estimand_n 500,000, seed 1), as the library runs it, once
+  with multivariate_normal.cdf and scipy.optimize.brentq put back and once
+  with the one-shot linear predictor put back: the latent Cholesky factor,
+  the calibrated intercept and the true AUC.
 
-Prints one line per comparison and exits with status 1 at the first
-mismatch. Takes about a minute on one core.
+The one-shot product is the reference at one BLAS thread only: at two,
+OpenBLAS splits a product of more than about 26,000 rows across threads,
+and some rows change. So the script refuses to run unless
+OPENBLAS_NUM_THREADS=1. Prints one line per comparison and exits with
+status 1 at the first mismatch. Takes about four minutes on one core.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from contextlib import contextmanager
 
@@ -35,9 +46,12 @@ from scipy.special import ndtri
 from scipy.stats import multivariate_normal
 
 from bootval import simulation
-from bootval.simulation import (CovariateGenerator, GeneratorConfig,
+from bootval.resampling import stream
+from bootval.simulation import (COLUMN_NAMES, SCENARIO_TABLE,
+                                CovariateGenerator, GeneratorConfig,
                                 ScenarioSpec, TrueModel, brentq, bvn_cdf,
-                                calibrate_intercept, estimate_true_auc)
+                                calibrate_intercept, columns_for_p,
+                                estimate_true_auc)
 
 #: |r| bands of Genz's method; each gets a quarter of the tail points
 BANDS = ((0.0, 0.3), (0.3, 0.75), (0.75, 0.925), (0.925, 0.9999))
@@ -47,6 +61,11 @@ ROOT_PROBLEMS = 100_000
 LATENT_PROBLEMS = 2_000
 SCENARIOS = (1, 5, 17, 21)
 SEED = 1
+#: (rows, rows per chunk, stream path) of the streamed linear predictors:
+#: calibration draws from stream(seed', 3, 0), the estimand from (3, 1)
+LP_SIZES = ((1_000_000, 200_000, 0), (1_000_003, 200_000, 0),
+            (500_000, 500_000, 1), (500_003, 500_003, 1))
+LP_SEEDS = (1, 2)
 
 
 def fail(what: str) -> None:
@@ -173,6 +192,66 @@ def scipy_path():
         simulation.brentq, simulation.bvn_cdf = saved
 
 
+def one_shot_sample(gen, n, rng):
+    """CovariateGenerator.sample as it was before it streamed: each draw
+    for all n rows at once, and the whole matrix at once."""
+    cfg, col = gen.config, {name: j for j, name in enumerate(COLUMN_NAMES)}
+    out = np.empty((n, len(COLUMN_NAMES)))
+    cont = (rng.standard_normal((n, 3)) @ gen._cont_chol.T
+            + cfg.continuous_means)
+    out[:, col["HEI"]], out[:, col["WEI"]] = cont[:, 0], cont[:, 1]
+    out[:, col["A65"]] = cont[:, 2] >= cfg.age_threshold
+    u = rng.random(n)
+    cut = np.cumsum(cfg.smoking_proportions)
+    out[:, col["SMK1"]] = u < cut[0]
+    out[:, col["SMK2"]] = (u >= cut[0]) & (u < cut[1])
+    z = rng.standard_normal((n, gen._binary_thresholds.size))
+    out[:, simulation._BINARY_COLUMNS] = (z @ gen._latent_chol.T
+                                          > gen._binary_thresholds)
+    return out
+
+
+def one_shot_lp(gen, slopes, col_hi, n, rng, chunk=200_000):
+    """simulation._sample_lp as it was: one product per whole sample."""
+    out = np.empty(n)
+    for lo in range(0, n, chunk):
+        x = one_shot_sample(gen, min(chunk, n - lo), rng)
+        out[lo:lo + len(x)] = x[:, :col_hi] @ slopes
+    return out
+
+
+def check_streaming() -> int:
+    config = GeneratorConfig.default()
+    gen = CovariateGenerator(config)
+    done = 0
+    for seed in LP_SEEDS:
+        for scenario, (_, _, p, ctype) in SCENARIO_TABLE.items():
+            slopes = config.coefficients[(p, ctype)]
+            _, hi = columns_for_p(p)
+            for n, chunk, path in LP_SIZES:
+                sub = simulation._subseed(seed, path + 1, scenario)
+                ours, theirs = stream(sub, 3, path), stream(sub, 3, path)
+                lp = simulation._sample_lp(gen, slopes, hi, n, ours, chunk)
+                want = one_shot_lp(gen, slopes, hi, n, theirs, chunk)
+                if (lp.tobytes() != want.tobytes()
+                        or ours.random() != theirs.random()):
+                    fail(f"streamed linear predictor of scenario "
+                         f"{scenario}, seed {seed}, {n:,} rows")
+                done += 1
+    return done
+
+
+@contextmanager
+def one_shot_path():
+    """Within the block, the library's linear predictors are one-shot."""
+    saved = simulation._sample_lp
+    simulation._sample_lp = one_shot_lp
+    try:
+        yield
+    finally:
+        simulation._sample_lp = saved
+
+
 def setup(spec: ScenarioSpec):
     """What run_scenario computes before its replications."""
     config = GeneratorConfig.default()
@@ -196,15 +275,23 @@ def check_setups() -> list[str]:
             want_chol, want_beta0, want_auc = setup(spec)
         if not np.array_equal(chol, want_chol):
             fail(f"scenario {scenario}: latent Cholesky factor")
-        if (beta0, auc) != (want_beta0, want_auc):
-            fail(f"scenario {scenario}: beta0 {beta0!r} against "
-                 f"{want_beta0!r}, true AUC {auc!r} against {want_auc!r}")
+        with one_shot_path():
+            shot = setup(spec)[1:]
+        for path, want in (("SciPy", (want_beta0, want_auc)),
+                           ("one-shot", shot)):
+            if (beta0, auc) != want:
+                fail(f"scenario {scenario}: beta0 {beta0!r}, true AUC "
+                     f"{auc!r} against {want!r} on the {path} path")
         lines.append(f"scenario {scenario}: beta0 {beta0!r}, "
                      f"true AUC {auc!r}")
     return lines
 
 
 def main() -> int:
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        print("check_generator: set OPENBLAS_NUM_THREADS=1 (see the "
+              "docstring)", file=sys.stderr)
+        return 2
     print(f"bvn_cdf: {check_tail():,} points equal "
           f"multivariate_normal.cdf")
     n, errors = check_roots()
@@ -212,8 +299,11 @@ def main() -> int:
           f"evaluation points ({errors:,} raise in both)")
     print(f"_latent_rho: {check_latent_rho():,} problems equal the SciPy "
           f"form")
+    print(f"linear predictor: {check_streaming()} streamed products equal "
+          f"the one-shot product, with the next draw")
     for line in check_setups():
-        print(f"set-up {line}, Cholesky factor, beta0 and true AUC equal")
+        print(f"set-up {line}: Cholesky factor, beta0 and true AUC equal "
+              f"on the SciPy and one-shot paths")
     return 0
 
 

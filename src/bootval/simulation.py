@@ -157,29 +157,37 @@ class GeneratorConfig:
                 raise SimulationError("table rows before any section header")
             sections[current].append([c.strip() for c in line.split(",")])
 
+        def section(name):
+            if name not in sections:
+                raise SimulationError(f"generator table has no [{name}] "
+                                      f"section")
+            return sections[name]
+
         def matrix(name):
             return np.array([[float(c) for c in row]
-                             for row in sections[name]])
+                             for row in section(name)])
 
-        def keyed(name):
-            return {row[0]: float(row[1]) for row in sections[name]}
+        def keyed(name, keys):
+            rows = {row[0]: float(row[1]) for row in section(name)}
+            for key in keys:
+                if key not in rows:
+                    raise SimulationError(f"generator table section "
+                                          f"[{name}] has no {key} row")
+            return np.array([rows[key] for key in keys])
 
-        means = keyed("continuous_means")
-        smk = keyed("smoking_proportions")
-        marg = keyed("binary_marginals")
         coeffs = {}
         for p in (8, 17):
             for t in (1, 2):
                 key = f"coefficients_{p}_type{t}"
                 coeffs[(p, t)] = matrix(key).ravel()
         return cls(
-            continuous_means=np.array([means["height"], means["weight"],
-                                       means["age"]]),
+            continuous_means=keyed("continuous_means",
+                                   ("height", "weight", "age")),
             continuous_covariance=matrix("continuous_covariance"),
-            age_threshold=float(sections["age_threshold"][0][0]),
-            smoking_proportions=np.array([smk["current"], smk["ex"],
-                                          smk["never"]]),
-            binary_marginals=np.array([marg[name] for name in BINARY_NAMES]),
+            age_threshold=float(section("age_threshold")[0][0]),
+            smoking_proportions=keyed("smoking_proportions",
+                                      ("current", "ex", "never")),
+            binary_marginals=keyed("binary_marginals", BINARY_NAMES),
             binary_correlations=matrix("binary_correlations"),
             coefficients=coeffs,
         )
@@ -394,10 +402,30 @@ def _nearest_psd_correlation(m: np.ndarray) -> np.ndarray:
     return out
 
 
+#: Rows per block of CovariateGenerator.blocks. OpenBLAS sums a row of
+#: x @ slopes in another order when the row falls in the remainder group at
+#: the end of a gemv call, so a block size that is a multiple of 64 keeps
+#: the remainder where the one-shot product has it, at the end of the
+#: sample: every bit is kept. 16,384 rows are also too few for OpenBLAS to
+#: split the product across threads, which it does from about 26,000 rows
+#: of 17 columns, so the blocked bits do not depend on the thread count.
+BLOCK_ROWS = 16_384
+
+
 class CovariateGenerator:
     """Samples the 18-column predictor matrix. Constructed once per
     scenario; construction validates covariances, proportions, and binary
-    correlation feasibility, and precomputes Cholesky factors."""
+    correlation feasibility, and precomputes Cholesky factors.
+
+    n rows take their draws from the stream in one order, which every
+    seeded result depends on: all n x 3 continuous normals, then the n
+    smoking uniforms, then the n x 13 latent normals of the binaries, row
+    by row. `blocks` keeps that order while it holds one block of the
+    matrix: it takes the first two draws whole (32 bytes a row) and the
+    latent normals a block at a time, which continues the same stream
+    because NumPy's Generator fills an array element by element. Its block
+    size is a multiple of 64 rows, so that a product reduced block by block
+    keeps every bit of the one-shot product (see BLOCK_ROWS)."""
 
     def __init__(self, config: GeneratorConfig):
         cov = config.continuous_covariance
@@ -438,24 +466,36 @@ class CovariateGenerator:
         self.config = config
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """One (n, 18) C-ordered predictor matrix in COLUMN_NAMES order."""
+        """One (n, 18) C-ordered predictor matrix in COLUMN_NAMES order,
+        drawn in the order the class docstring gives: `blocks(n, rng)` as
+        a single block, so that cohorts and streamed linear predictors come
+        from one sampler."""
+        return next(self.blocks(n, rng, block=max(n, 1)))
+
+    def blocks(self, n: int, rng: np.random.Generator,
+               block: int = BLOCK_ROWS):
+        """The rows of sample(n, rng), yielded as C-ordered matrices of
+        `block` rows (fewer in the last), in the draw order of the class
+        docstring. Each block's latent normals are drawn as it is yielded,
+        so consume every block before drawing from rng again; the stream
+        then stands where sample(n, rng) leaves it."""
         cfg = self.config
-        out = np.empty((n, len(COLUMN_NAMES)))
-        cont = (rng.standard_normal((n, 3)) @ self._cont_chol.T
-                + cfg.continuous_means)
-        out[:, _COLUMN["HEI"]] = cont[:, 0]
-        out[:, _COLUMN["WEI"]] = cont[:, 1]
-        out[:, _COLUMN["A65"]] = cont[:, 2] >= cfg.age_threshold
-
-        u = rng.random(n)
+        normals, u = rng.standard_normal((n, 3)), rng.random(n)
         cut = np.cumsum(cfg.smoking_proportions)
-        out[:, _COLUMN["SMK1"]] = u < cut[0]                   # current
-        out[:, _COLUMN["SMK2"]] = (u >= cut[0]) & (u < cut[1])  # ex
-
-        z = rng.standard_normal((n, self._binary_thresholds.size))
-        z = z @ self._latent_chol.T
-        out[:, _BINARY_COLUMNS] = z > self._binary_thresholds
-        return out
+        for lo in range(0, n, block) or (0,):  # n = 0: one empty block
+            hi = min(lo + block, n)
+            out = np.empty((hi - lo, len(COLUMN_NAMES)))
+            cont = normals[lo:hi] @ self._cont_chol.T + cfg.continuous_means
+            out[:, _COLUMN["HEI"]] = cont[:, 0]
+            out[:, _COLUMN["WEI"]] = cont[:, 1]
+            out[:, _COLUMN["A65"]] = cont[:, 2] >= cfg.age_threshold
+            smk = u[lo:hi]
+            out[:, _COLUMN["SMK1"]] = smk < cut[0]                    # current
+            out[:, _COLUMN["SMK2"]] = (smk >= cut[0]) & (smk < cut[1])  # ex
+            z = rng.standard_normal((hi - lo, self._binary_thresholds.size))
+            out[:, _BINARY_COLUMNS] = (z @ self._latent_chol.T
+                                       > self._binary_thresholds)
+            yield out
 
 
 @dataclass(frozen=True)
@@ -476,13 +516,19 @@ def _subseed(seed: int, *path: int) -> int:
 def _sample_lp(gen: CovariateGenerator, slopes: np.ndarray, col_hi: int,
                n: int, rng: np.random.Generator,
                chunk: int = 200_000) -> np.ndarray:
+    """The linear predictor x[:, :col_hi] @ slopes, without the intercept,
+    of n rows drawn as successive gen.sample(chunk, rng) calls draw them.
+    Each block of gen.blocks is reduced and dropped, so the matrix is never
+    held whole, and the bits are those of each chunk's one-shot product at
+    one BLAS thread (see BLOCK_ROWS)."""
+    if slopes.shape[0] != col_hi:
+        raise SimulationError("slope vector does not match generator width")
     out = np.empty(n)
     done = 0
     while done < n:
-        take = min(chunk, n - done)
-        x = gen.sample(take, rng)[:, :col_hi]
-        out[done:done + take] = x @ slopes
-        done += take
+        for x in gen.blocks(min(chunk, n - done), rng):
+            out[done:done + len(x)] = x[:, :col_hi] @ slopes
+            done += len(x)
     return out
 
 
@@ -521,23 +567,28 @@ def generate_cohort(gen: CovariateGenerator, model: TrueModel, p: int,
     return Dataset(y, x, COLUMN_NAMES[:hi])
 
 
-def true_risk_score(x: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    """The true model's risk ranking score: x @ slopes rounded to 10
-    decimals, so that rows with equal slope sums (binary predictors with
-    decimal slopes) tie whatever order the product sums in. The intercept
-    is left out; it cannot change the ranking."""
-    return np.round(x @ slopes, 10)
+def true_risk_score(lp: np.ndarray) -> np.ndarray:
+    """The true model's risk ranking score: the linear predictor x @ slopes
+    rounded to 10 decimals, so that rows with equal slope sums (binary
+    predictors with decimal slopes) tie whatever order the product sums in.
+    The intercept is left out; it cannot change the ranking."""
+    return np.round(lp, 10)
 
 
 def estimate_true_auc(gen: CovariateGenerator, model: TrueModel, p: int,
                       test_n: int, seed: int) -> float:
-    """Empirical AUC of the true risk score on a fresh external cohort.
-    Equal true risks count as ties, as in every C-statistic here."""
+    """Empirical AUC of the true risk score on a fresh external cohort: the
+    one generate_cohort(gen, model, p, test_n, seed) draws, whose outcomes
+    follow its covariates in the stream. Equal true risks count as ties, as
+    in every C-statistic here. Only the cohort's linear predictor is held,
+    from _sample_lp in one chunk, with the bits of the one-shot product."""
     if test_n < 1000:
         raise SimulationError("external test cohort must have >= 1000 rows")
-    d = generate_cohort(gen, model, p, test_n, seed)
-    return c_statistic_value(true_risk_score(d.predictors, model.slopes),
-                             d.outcomes)
+    _, hi = columns_for_p(p)
+    rng = stream(seed, 3, 1)
+    lp = _sample_lp(gen, model.slopes, hi, test_n, rng, chunk=test_n)
+    y = rng.random(test_n) < logistic(model.beta0 + lp)
+    return c_statistic_value(true_risk_score(lp), y)
 
 
 @dataclass(frozen=True)

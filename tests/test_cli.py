@@ -204,6 +204,19 @@ def test_simulate_rejects_bad_scenario(tmp_path, capsys):
     assert "no scenario 99" in capsys.readouterr().err
 
 
+def test_simulate_reports_a_missing_generator_row(tmp_path, capsys):
+    table = SRC / "bootval" / "params" / "default_generator.table"
+    lines = table.read_text().splitlines(keepends=True)
+    path = tmp_path / "no_sex.table"
+    path.write_text("".join(line for line in lines
+                            if not line.startswith("SEX,")))
+    assert main(["simulate", "--generator-params", str(path),
+                 "--output-prefix", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        "bootval: error: generator table section [binary_marginals] has "
+        "no SEX row\n")
+
+
 def test_simulate_has_no_scenario_params_option(tmp_path, capsys):
     # scenarios are named by id; a parameter file could only repeat them
     with pytest.raises(SystemExit) as exc:

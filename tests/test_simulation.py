@@ -1,6 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +16,7 @@ from scipy.stats import multivariate_normal
 
 from bootval import simulation
 from bootval.intervals import IntervalError
-from bootval.simulation import (BINARY_NAMES, COLUMN_NAMES,
+from bootval.simulation import (BINARY_NAMES, BLOCK_ROWS, COLUMN_NAMES,
                                 CovariateGenerator, GeneratorConfig,
                                 ScenarioSpec, SimulationError, TrueModel,
                                 brentq, bvn_cdf, calibrate_intercept,
@@ -101,6 +107,75 @@ def test_generator_sample_equals_column_stack_version(n):
         assert rng.random() == ref_rng.random()
 
 
+@pytest.mark.parametrize("n", [1, 7, 4097, 25_003, 50_007])
+def test_generator_blocks_concatenate_to_sample(n):
+    gen = CovariateGenerator(GeneratorConfig.default())
+    ref_rng = stream(n, 3, 1)
+    ref = column_stack_sample(gen, n, ref_rng)  # what sample(n) returns
+    after = ref_rng.random()
+    for block in (7, 64, 4096, BLOCK_ROWS):
+        rng = stream(n, 3, 1)
+        parts = list(gen.blocks(n, rng, block))
+        assert all(len(x) == block for x in parts[:-1])
+        assert all(x.flags.c_contiguous for x in parts)
+        assert np.concatenate(parts).tobytes() == ref.tobytes()
+        assert rng.random() == after
+
+
+def one_shot_lp(gen, slopes, n, rng, chunk):
+    """The linear predictor as it was computed before blocks: one product
+    per chunk of the frozen column-stack sample."""
+    return np.concatenate([
+        column_stack_sample(gen, min(chunk, n - lo), rng)[:, :slopes.size]
+        @ slopes for lo in range(0, n, chunk)])
+
+
+@pytest.mark.parametrize("p", [8, 17])
+def test_streamed_lp_equals_one_shot_product(p):
+    cfg = GeneratorConfig.default()
+    gen = CovariateGenerator(cfg)
+    slopes = cfg.coefficients[(p, 1)]
+    # Chunks stay below about 26,000 rows, where OpenBLAS would split a
+    # one-shot product across threads and change its bits.
+    for n, chunk in ((50_007, 20_011), (20_011, 20_011), (999, 250)):
+        rng, ref_rng = stream(n, 3, 0), stream(n, 3, 0)
+        lp = simulation._sample_lp(gen, slopes, slopes.size, n, rng, chunk)
+        ref = one_shot_lp(gen, slopes, n, ref_rng, chunk)
+        assert lp.tobytes() == ref.tobytes()
+        assert rng.random() == ref_rng.random()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+LP_DIGESTS = """
+import hashlib
+from bootval import simulation as s
+from bootval.resampling import stream
+cfg = s.GeneratorConfig.default()
+gen, slopes, n = s.CovariateGenerator(cfg), cfg.coefficients[(17, 1)], 75_013
+lp = s._sample_lp(gen, slopes, 18, n, stream(5, 3, 1), chunk=n)
+one_shot = gen.sample(n, stream(5, 3, 1)) @ slopes
+print(hashlib.sha256(lp).hexdigest(), hashlib.sha256(one_shot).hexdigest())
+"""
+
+
+def test_streamed_lp_does_not_depend_on_blas_threads():
+    """A one-shot product of 75,013 rows and 17 columns differs in some
+    rows between one and two OpenBLAS threads; the streamed product is the
+    one-shot product at one thread, at both."""
+    streamed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(SRC),
+                   OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", LP_DIGESTS], env=env,
+                              capture_output=True, text=True, check=True)
+        lp, one_shot = done.stdout.split()
+        if threads == "1":
+            assert lp == one_shot
+        streamed.append(lp)
+    assert streamed[0] == streamed[1]
+
+
 def test_generator_marginals_roughly_match():
     gen = CovariateGenerator(GeneratorConfig.default())
     x = gen.sample(100_000, stream(2, 0))
@@ -112,6 +187,15 @@ def test_generator_marginals_roughly_match():
     assert abs(smk1 - cfg.smoking_proportions[0]) < 0.01
     hei = x[:, names.index("HEI")]
     assert abs(hei.mean() - cfg.continuous_means[0]) < 0.2
+
+
+def test_generator_table_without_a_section_rejected():
+    text = (resources.files("bootval") / "params" /
+            "default_generator.table").read_text()
+    text = text.replace("[age_threshold]\n65\n", "")
+    with pytest.raises(SimulationError,
+                       match=r"no \[age_threshold\] section"):
+        GeneratorConfig.from_text(text)
 
 
 def test_infeasible_binary_correlation_rejected():
@@ -350,6 +434,28 @@ def test_estimate_true_auc_informative_and_stable():
     assert abs(a - b) < 0.01
 
 
+def traced_peak(call):
+    """Peak bytes allocated while call() runs, as tracemalloc counts them;
+    NumPy reports its array buffers to it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_set_up_does_not_hold_the_predictor_matrix():
+    # 73.2 and 103.8 MiB when both built their whole predictor matrices
+    cfg = GeneratorConfig.default()
+    gen = CovariateGenerator(cfg)
+    slopes = cfg.coefficients[(17, 1)]
+    assert traced_peak(lambda: estimate_true_auc(
+        gen, TrueModel(-2.0, slopes), 17, 200_000, seed=1)) < 40 * 2**20
+    assert traced_peak(lambda: calibrate_intercept(
+        gen, slopes, 0.125, 17, sample_n=400_000, seed=1)) < 50 * 2**20
+
+
 def test_estimate_true_auc_ties_equal_decimal_risks():
     """Slope sums equal in decimal (0.1 + 0.2 = 0.3) are ties, however the
     float sums round: the estimand is the AUC of the exact integer-scaled
@@ -369,7 +475,7 @@ def test_estimate_true_auc_ties_equal_decimal_risks():
             rowwise += x[:, j] * model.slopes[j]
         assert auc == c_statistic_value(np.round(rowwise, 10), y)
         assert auc == c_statistic_value(
-            true_risk_score(x[:, order], model.slopes[order]), y)
+            true_risk_score(x[:, order] @ model.slopes[order]), y)
 
 
 def test_coverage_result_validation():
