@@ -227,7 +227,7 @@ def check_streaming() -> int:
     for seed in LP_SEEDS:
         for scenario, (_, _, p, ctype) in SCENARIO_TABLE.items():
             slopes = config.coefficients[(p, ctype)]
-            _, hi = columns_for_p(p)
+            hi = columns_for_p(p)
             for n, chunk, path in LP_SIZES:
                 sub = simulation._subseed(seed, path + 1, scenario)
                 ours, theirs = stream(sub, 3, path), stream(sub, 3, path)

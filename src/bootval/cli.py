@@ -16,14 +16,14 @@ import time
 
 from . import __version__
 from .data import DataError, load_csv
-from .intervals import (CI_METHODS, CORRECTED, DELONG, parse_method,
-                        validate)
-from .metrics import C_STATISTIC, CALIBRATION_SLOPE
-from .models import FitRecipe
-from .optimism import METHODS
-from .resampling import ResamplePlan, default_workers
-from .simulation import (GeneratorConfig, ScenarioSpec, coverage_to_csv,
-                         coverage_to_json, run_scenario)
+from .intervals import (CI_METHODS, CORRECTED, DELONG, IntervalError,
+                        parse_method, validate)
+from .metrics import C_STATISTIC, CALIBRATION_SLOPE, MetricError
+from .models import FitError, FitRecipe
+from .optimism import METHODS, OptimismError
+from .resampling import ResamplePlan, ResamplingError, default_workers
+from .simulation import (GeneratorConfig, ScenarioSpec, SimulationError,
+                         coverage_to_csv, coverage_to_json, run_scenario)
 # Not called here: bench/launch.py times these layers through the names
 # this module imports.
 from .intervals import two_stage_ci  # noqa: F401
@@ -224,7 +224,11 @@ def simulate_command(args) -> tuple[str, str]:
     methods = _parse_list(args.methods, "CI method")
     if args.replications < 1:
         raise ConfigError("replications must be >= 1")
-    ids = [int(s) for s in args.scenarios.split(",") if s.strip()]
+    try:
+        ids = [int(s) for s in args.scenarios.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(f"scenario ids must be integers, got "
+                          f"{args.scenarios!r}") from None
     specs = [ScenarioSpec.by_id(i) for i in ids]
     config = (GeneratorConfig.from_file(args.generator_params)
               if args.generator_params else GeneratorConfig.default())
@@ -282,7 +286,8 @@ def main(argv=None) -> int:
             with open(args.output_prefix + ".json", "w",
                       encoding="utf-8") as fh:
                 fh.write(json_text)
-    except (ConfigError, DataError, ValueError) as exc:
+    except (ConfigError, DataError, FitError, IntervalError, MetricError,
+            OptimismError, ResamplingError, SimulationError) as exc:
         print(f"bootval: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -9,6 +9,7 @@ columns. Missing values are rejected, not imputed.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,58 +92,51 @@ def load_csv(path, outcome_column: str) -> Dataset:
     decimal reals; the outcome column must contain only 0 and 1.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            dupes = sorted({h for h in header if header.count(h) > 1})
-            raise DataError(f"{path}: duplicate column names {dupes}")
-        if outcome_column not in header:
-            raise DataError(f"{path}: no column named {outcome_column!r}")
-        y_col = header.index(outcome_column)
-        names = [h for j, h in enumerate(header) if j != y_col]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file, header row required") from None
+    header = [h.strip() for h in header]
+    if len(set(header)) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise DataError(f"{path}: duplicate column names {dupes}")
+    if outcome_column not in header:
+        raise DataError(f"{path}: no column named {outcome_column!r}")
+    y_col = header.index(outcome_column)
+    names = [h for j, h in enumerate(header) if j != y_col]
 
-        ys: list[float] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
+    ys: list[float] = []
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} "
+                            f"cells, got {len(row)}")
+        parsed = []
+        for j, cell in enumerate(row):
+            try:
+                v = float(cell)
+            except ValueError:
                 raise DataError(
-                    f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            parsed = []
-            for j, cell in enumerate(row):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: unparseable value {cell!r} "
-                        f"in column {header[j]!r}") from None
-                parsed.append(v)
-            yv = parsed.pop(y_col)
-            if yv not in (0.0, 1.0):
-                raise DataError(
-                    f"{path}:{lineno}: outcome value {yv!r} is not 0 or 1")
-            ys.append(yv)
-            rows.append(parsed)
+                    f"{path}:{lineno}: unparseable value {cell!r} "
+                    f"in column {header[j]!r}") from None
+            parsed.append(v)
+        yv = parsed.pop(y_col)
+        if yv not in (0.0, 1.0):
+            raise DataError(
+                f"{path}:{lineno}: outcome value {yv!r} is not 0 or 1")
+        ys.append(yv)
+        rows.append(parsed)
 
     if not rows:
         raise DataError(f"{path}: no data rows")
     return Dataset(np.array(ys), np.array(rows), tuple(names))
 
-
-def save_csv(d: Dataset, path, outcome_column: str = "y"):
-    """Write a Dataset back to CSV (outcome first, predictors in order)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([outcome_column, *d.names])
-        for i in range(d.n):
-            writer.writerow([repr(float(d.outcomes[i])),
-                             *[repr(float(v)) for v in d.predictors[i]]])

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .metrics import delong_ci, measure_value
-from .models import FitRecipe, predict
-from .optimism import (METHODS, OOB_METHODS, OptimismResult, ReplicateSet,
-                       apparent_fit, correct, evaluate_replicates,
-                       kernel_patterns, two_class_draw)
+from .data import DataError, Dataset
+from .metrics import MetricError, delong_ci, measure_value
+from .models import FitError, FitRecipe, predict
+from .optimism import (METHODS, OOB_METHODS, OptimismError, OptimismResult,
+                       ReplicateSet, apparent_fit, correct,
+                       evaluate_replicates, kernel_patterns, two_class_draw)
 from .resampling import (ResamplePlan, inner_level, map_indices,
                          percentile_interval)
 
@@ -175,13 +175,13 @@ class _TwoStageOuterTask:
             _, apparent, reps = _bootstrap(
                 d.subset(idx), self.recipe, self.measure, inner_plan,
                 patterns=patterns, oob=self.oob)
-        except ValueError:
+        except (DataError, FitError, MetricError):
             return values
         for i, correction in enumerate(self.corrections):
             try:
                 values[i] = correct(correction, self.measure, apparent,
                                     reps).corrected
-            except ValueError:
+            except OptimismError:
                 pass
         return values
 

@@ -9,8 +9,6 @@ AUCs, so the hot path stays allocation-light.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import ndtri
 
@@ -28,12 +26,6 @@ CALIBRATION_SLOPE = "calibration-slope"
 #: Analytic permutation limits: the measure's value when predictions carry
 #: no outcome information.
 NO_INFORMATION = {C_STATISTIC: 0.5, CALIBRATION_SLOPE: 0.0}
-
-
-@dataclass(frozen=True)
-class MeasureValue:
-    kind: str
-    value: float
 
 
 def no_information(kind: str) -> float:
@@ -73,14 +65,9 @@ def c_statistic_value(scores: np.ndarray, outcomes: np.ndarray) -> float:
     return (rank_sum - 0.5 * m * (m + 1)) / (m * n_neg)
 
 
-def c_statistic(scores: RiskScores, outcomes: np.ndarray) -> MeasureValue:
-    return MeasureValue(C_STATISTIC,
-                        c_statistic_value(scores.values, outcomes))
-
-
-def delong_components(scores: np.ndarray, outcomes: np.ndarray):
-    """DeLong structural components: per-event V10 and per-nonevent V01.
-    Returns (auc, v10, v01)."""
+def delong_variance(scores: np.ndarray, outcomes: np.ndarray) -> float:
+    """DeLong variance of the AUC from the structural components: per-event
+    V10 and per-nonevent V01."""
     scores = np.asarray(scores, dtype=np.float64)
     outcomes = np.asarray(outcomes)
     pos = outcomes == 1
@@ -89,19 +76,9 @@ def delong_components(scores: np.ndarray, outcomes: np.ndarray):
     if m == 0 or n_neg == 0:
         raise MetricError("DeLong variance needs both outcome classes")
     ranks = _midranks(scores)
-    pos_scores = scores[pos]
-    neg_scores = scores[~pos]
-    pos_ranks_within = _midranks(pos_scores)
-    neg_ranks_within = _midranks(neg_scores)
-    v10 = (ranks[pos] - pos_ranks_within) / n_neg
-    v01 = 1.0 - (ranks[~pos] - neg_ranks_within) / m
+    v10 = (ranks[pos] - _midranks(scores[pos])) / n_neg
+    v01 = 1.0 - (ranks[~pos] - _midranks(scores[~pos])) / m
     auc = float(v10.mean())
-    return auc, v10, v01
-
-
-def delong_variance(scores: np.ndarray, outcomes: np.ndarray) -> float:
-    auc, v10, v01 = delong_components(scores, outcomes)
-    m, n_neg = v10.size, v01.size
     s10 = float(np.sum((v10 - auc) ** 2) / (m - 1)) if m > 1 else 0.0
     s01 = float(np.sum((v01 - auc) ** 2) / (n_neg - 1)) if n_neg > 1 else 0.0
     return s10 / m + s01 / n_neg
@@ -122,7 +99,7 @@ def delong_ci(scores: RiskScores, outcomes: np.ndarray,
     return auc - half, auc + half
 
 
-def calibration_slope(scores: RiskScores, outcomes: np.ndarray) -> MeasureValue:
+def calibration_slope(scores: RiskScores, outcomes: np.ndarray) -> float:
     """Slope from the univariate logistic regression of outcomes on the
     model's linear predictors; 1 for a well-calibrated model."""
     lp = np.asarray(scores.linear_predictors, dtype=np.float64)
@@ -133,7 +110,7 @@ def calibration_slope(scores: RiskScores, outcomes: np.ndarray) -> MeasureValue:
     d = Dataset(outcomes, lp[:, None], ("lp",))
     d.check_fittable()
     model = fit_ml(d)
-    return MeasureValue(CALIBRATION_SLOPE, float(model.slopes[0]))
+    return float(model.slopes[0])
 
 
 def measure_value(kind: str, scores: RiskScores,
@@ -142,5 +119,5 @@ def measure_value(kind: str, scores: RiskScores,
     if kind == C_STATISTIC:
         return c_statistic_value(scores.values, outcomes)
     if kind == CALIBRATION_SLOPE:
-        return calibration_slope(scores, outcomes).value
+        return calibration_slope(scores, outcomes)
     raise MetricError(f"unknown measure kind {kind!r}")

@@ -66,9 +66,6 @@ class FittedModel:
     converged: bool = True
     iterations: int = 0
 
-    def coefficients(self) -> np.ndarray:
-        return np.concatenate(([self.intercept], self.slopes))
-
 
 @dataclass(frozen=True)
 class RiskScores:
@@ -90,19 +87,6 @@ def _sum_log1pexp(eta: np.ndarray) -> float:
     """Numerically stable sum of log(1 + exp(eta))."""
     return float(np.sum(np.maximum(eta, 0.0)
                         + np.log1p(np.exp(-np.abs(eta)))))
-
-
-def log_likelihood(beta: np.ndarray, d: Dataset) -> float:
-    """Bernoulli log-likelihood at beta = (intercept, slopes)."""
-    eta = beta[0] + d.predictors @ beta[1:]
-    return float(np.sum(d.outcomes * eta)) - _sum_log1pexp(eta)
-
-
-def log_likelihood_gradient(beta: np.ndarray, d: Dataset) -> np.ndarray:
-    """Analytic gradient of the log-likelihood: Z^T (y - p), Z = [1, X]."""
-    eta = beta[0] + d.predictors @ beta[1:]
-    resid = d.outcomes - logistic(eta)
-    return np.concatenate(([resid.sum()], d.predictors.T @ resid))
 
 
 def _newton_irls(y, z, beta0, max_iter, tol):
@@ -350,21 +334,6 @@ def _back_transform(kind, a0, b, live, mu, sd, lam, converged, iterations):
     intercept = a0 - float(slopes @ mu)
     return FittedModel(kind, float(intercept), slopes, penalty=lam,
                        converged=converged, iterations=iterations)
-
-
-def penalized_objective(model: FittedModel, d: Dataset) -> float:
-    """-loglik + lambda * penalty(slopes), on the standardized scale the
-    solver works in (so grid-perturbation probes are meaningful)."""
-    xs, mu, sd = _standardize(d.predictors)
-    b = model.slopes * sd
-    a0 = model.intercept + float(model.slopes @ mu)
-    eta = a0 + xs @ b
-    ll = float(d.outcomes @ eta) - _sum_log1pexp(eta)
-    if model.estimator == "ridge":
-        pen = model.penalty * float(np.sum(b * b))
-    else:
-        pen = model.penalty * float(np.sum(np.abs(b)))
-    return -ll + pen
 
 
 def fit(d: Dataset, recipe: FitRecipe,

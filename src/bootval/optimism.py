@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import DataError, Dataset
 from .kernel import Patterns, c_statistics, fit_ml_counts, risk_scores
 from .metrics import C_STATISTIC, MetricError, measure_value, no_information
-from .models import MAX_ITER, TOL, FitRecipe, fit, predict
+from .models import MAX_ITER, TOL, FitError, FitRecipe, fit, predict
 from .resampling import ResamplePlan, draw, draw_block, map_records, stream
 
 HARRELL = "harrell"
@@ -108,7 +108,7 @@ class _ReplicateTask:
                                        boot_d.outcomes)
             theta_orig = measure_value(self.measure, predict(model, d),
                                        d.outcomes)
-        except (MetricError, ValueError):
+        except (DataError, FitError, MetricError):
             return [(r, *_INVALID)]
         if not self.oob:
             return [(r, theta_boot, theta_orig, np.nan, True, False)]
@@ -122,7 +122,7 @@ class _ReplicateTask:
                     theta_out = measure_value(
                         self.measure, predict(model, oob_d), y_out)
                     oob_ok = True
-                except (MetricError, ValueError):
+                except (DataError, MetricError):
                     pass
         return [(r, theta_boot, theta_orig, theta_out, True, oob_ok)]
 

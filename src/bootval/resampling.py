@@ -210,7 +210,11 @@ def percentile_interval(values: np.ndarray,
 def default_workers() -> int:
     env = os.environ.get("BOOTVAL_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ResamplingError(f"BOOTVAL_WORKERS must be an integer, "
+                                  f"got {env!r}") from None
     return os.cpu_count() or 1
 
 

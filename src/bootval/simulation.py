@@ -109,12 +109,12 @@ _COLUMN = {name: j for j, name in enumerate(COLUMN_NAMES)}
 _BINARY_COLUMNS = np.array([_COLUMN[name] for name in BINARY_NAMES])
 
 
-def columns_for_p(p: int) -> tuple[int, int]:
-    """Slice of COLUMN_NAMES used by a p-predictor scenario (as a range)."""
+def columns_for_p(p: int) -> int:
+    """How many leading COLUMN_NAMES a p-predictor scenario uses."""
     if p == 8:
-        return 0, 8
+        return 8
     if p == 17:
-        return 0, len(COLUMN_NAMES)
+        return len(COLUMN_NAMES)
     raise SimulationError(f"unsupported predictor count {p}")
 
 
@@ -138,8 +138,12 @@ class GeneratorConfig:
 
     @classmethod
     def from_file(cls, path) -> "GeneratorConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SimulationError(f"cannot read {path}: {exc}") from None
+        return cls.from_text(text)
 
     @classmethod
     def from_text(cls, text: str) -> "GeneratorConfig":
@@ -163,12 +167,22 @@ class GeneratorConfig:
                                       f"section")
             return sections[name]
 
+        def number(cell):
+            try:
+                return float(cell)
+            except ValueError:
+                raise SimulationError(f"generator table value {cell!r} is "
+                                      f"not a number") from None
+
         def matrix(name):
-            return np.array([[float(c) for c in row]
-                             for row in section(name)])
+            rows = [[number(c) for c in row] for row in section(name)]
+            if len({len(row) for row in rows}) > 1:
+                raise SimulationError(f"generator table section [{name}] "
+                                      f"has rows of unequal length")
+            return np.array(rows)
 
         def keyed(name, keys):
-            rows = {row[0]: float(row[1]) for row in section(name)}
+            rows = {row[0]: number(row[1]) for row in section(name)}
             for key in keys:
                 if key not in rows:
                     raise SimulationError(f"generator table section "
@@ -184,7 +198,7 @@ class GeneratorConfig:
             continuous_means=keyed("continuous_means",
                                    ("height", "weight", "age")),
             continuous_covariance=matrix("continuous_covariance"),
-            age_threshold=float(section("age_threshold")[0][0]),
+            age_threshold=number(section("age_threshold")[0][0]),
             smoking_proportions=keyed("smoking_proportions",
                                       ("current", "ex", "never")),
             binary_marginals=keyed("binary_marginals", BINARY_NAMES),
@@ -429,8 +443,9 @@ class CovariateGenerator:
 
     def __init__(self, config: GeneratorConfig):
         cov = config.continuous_covariance
-        if not np.allclose(cov, cov.T):
-            raise SimulationError("continuous covariance must be symmetric")
+        if cov.shape != (3, 3) or not np.allclose(cov, cov.T):
+            raise SimulationError("continuous covariance must be a "
+                                  "symmetric 3 x 3 matrix")
         try:
             self._cont_chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
@@ -458,8 +473,14 @@ class CovariateGenerator:
                         f"binary correlation {corr[i, j]} between "
                         f"{BINARY_NAMES[i]} and {BINARY_NAMES[j]} is "
                         f"infeasible for marginals ({marg[i]}, {marg[j]})")
-                latent[i, j] = latent[j, i] = _latent_rho(
-                    marg[i], marg[j], corr[i, j])
+                try:
+                    rho = _latent_rho(marg[i], marg[j], corr[i, j])
+                except ValueError:  # brentq's: no root in the bracket
+                    raise SimulationError(
+                        f"binary correlation {corr[i, j]} between "
+                        f"{BINARY_NAMES[i]} and {BINARY_NAMES[j]} has no "
+                        f"latent normal correlation in (-1, 1)") from None
+                latent[i, j] = latent[j, i] = rho
         latent = _nearest_psd_correlation(latent)
         self._latent_chol = np.linalg.cholesky(latent)
         self._binary_thresholds = ndtri(1.0 - marg)
@@ -468,8 +489,8 @@ class CovariateGenerator:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """One (n, 18) C-ordered predictor matrix in COLUMN_NAMES order,
         drawn in the order the class docstring gives: `blocks(n, rng)` as
-        a single block, so that cohorts and streamed linear predictors come
-        from one sampler."""
+        a single block, so that a whole sample holds the rows that cohorts
+        and streamed linear predictors are built from."""
         return next(self.blocks(n, rng, block=max(n, 1)))
 
     def blocks(self, n: int, rng: np.random.Generator,
@@ -513,22 +534,31 @@ def _subseed(seed: int, *path: int) -> int:
         seed, spawn_key=tuple(int(k) for k in path)).generate_state(1)[0])
 
 
+def _lp_blocks(gen: CovariateGenerator, slopes: np.ndarray, col_hi: int,
+               n: int, rng: np.random.Generator):
+    """Each block x of gen.blocks(n, rng) with its linear predictor
+    x[:, :col_hi] @ slopes, without the intercept. One product per block
+    gives the bits of the one-shot product at one BLAS thread, at any
+    thread count (see BLOCK_ROWS)."""
+    if slopes.shape[0] != col_hi:
+        raise SimulationError("slope vector does not match generator width")
+    for x in gen.blocks(n, rng):
+        yield x, x[:, :col_hi] @ slopes
+
+
 def _sample_lp(gen: CovariateGenerator, slopes: np.ndarray, col_hi: int,
                n: int, rng: np.random.Generator,
                chunk: int = 200_000) -> np.ndarray:
-    """The linear predictor x[:, :col_hi] @ slopes, without the intercept,
-    of n rows drawn as successive gen.sample(chunk, rng) calls draw them.
-    Each block of gen.blocks is reduced and dropped, so the matrix is never
-    held whole, and the bits are those of each chunk's one-shot product at
-    one BLAS thread (see BLOCK_ROWS)."""
-    if slopes.shape[0] != col_hi:
-        raise SimulationError("slope vector does not match generator width")
+    """The linear predictor of n rows drawn as successive
+    gen.sample(chunk, rng) calls draw them. Each block is reduced and
+    dropped, so the matrix is never held whole."""
     out = np.empty(n)
     done = 0
     while done < n:
-        for x in gen.blocks(min(chunk, n - done), rng):
-            out[done:done + len(x)] = x[:, :col_hi] @ slopes
-            done += len(x)
+        for _, lp in _lp_blocks(gen, slopes, col_hi, min(chunk, n - done),
+                                rng):
+            out[done:done + len(lp)] = lp
+            done += len(lp)
     return out
 
 
@@ -540,8 +570,8 @@ def calibrate_intercept(gen: CovariateGenerator, slopes: np.ndarray,
     on the Monte Carlo mean of the event probability."""
     if not 0.0 < target_rate < 1.0:
         raise SimulationError("target rate must be in (0, 1)")
-    _, hi = columns_for_p(p)
-    lp = _sample_lp(gen, slopes, hi, sample_n, stream(seed, 3, 0))
+    lp = _sample_lp(gen, slopes, columns_for_p(p), sample_n,
+                    stream(seed, 3, 0))
     base = float(np.log(target_rate / (1.0 - target_rate)))
 
     def excess(b0):
@@ -556,13 +586,13 @@ def calibrate_intercept(gen: CovariateGenerator, slopes: np.ndarray,
 def generate_cohort(gen: CovariateGenerator, model: TrueModel, p: int,
                     n: int, seed: int) -> Dataset:
     """Covariates per block, event probability from the true model, and
-    Bernoulli outcomes; deterministic per seed."""
-    _, hi = columns_for_p(p)
+    Bernoulli outcomes; deterministic per seed. The linear predictor is
+    reduced block by block, as _sample_lp reduces it."""
+    hi = columns_for_p(p)
     rng = stream(seed, 3, 1)
-    x = gen.sample(n, rng)[:, :hi]
-    if model.slopes.shape[0] != x.shape[1]:
-        raise SimulationError("slope vector does not match generator width")
-    pi = logistic(model.beta0 + x @ model.slopes)
+    xs, lps = zip(*_lp_blocks(gen, model.slopes, hi, n, rng))
+    x = np.concatenate(xs)[:, :hi]
+    pi = logistic(model.beta0 + np.concatenate(lps))
     y = (rng.random(n) < pi).astype(float)
     return Dataset(y, x, COLUMN_NAMES[:hi])
 
@@ -584,9 +614,9 @@ def estimate_true_auc(gen: CovariateGenerator, model: TrueModel, p: int,
     from _sample_lp in one chunk, with the bits of the one-shot product."""
     if test_n < 1000:
         raise SimulationError("external test cohort must have >= 1000 rows")
-    _, hi = columns_for_p(p)
     rng = stream(seed, 3, 1)
-    lp = _sample_lp(gen, model.slopes, hi, test_n, rng, chunk=test_n)
+    lp = _sample_lp(gen, model.slopes, columns_for_p(p), test_n, rng,
+                    chunk=test_n)
     y = rng.random(test_n) < logistic(model.beta0 + lp)
     return c_statistic_value(true_risk_score(lp), y)
 

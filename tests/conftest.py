@@ -1,4 +1,7 @@
-"""Shared fixtures: small deterministic synthetic datasets."""
+"""Shared fixtures: small deterministic synthetic datasets, and a CSV
+writer for the command-line tests."""
+
+import csv
 
 import numpy as np
 import pytest
@@ -21,6 +24,23 @@ def make_dataset(seed: int, n: int = 80, p: int = 3,
         if 0.0 < y.mean() < 1.0:
             return Dataset(y, x)
     raise AssertionError("could not generate a two-class dataset")
+
+
+def save_csv(d: Dataset, path, outcome_column: str = "y"):
+    """Write a Dataset back to CSV (outcome first, predictors in order)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([outcome_column, *d.names])
+        for i in range(d.n):
+            writer.writerow([repr(float(d.outcomes[i])),
+                             *[repr(float(v)) for v in d.predictors[i]]])
+
+
+def raising(error):
+    """A stand-in for any function: it raises error("injected")."""
+    def fail(*args, **kwargs):
+        raise error("injected")
+    return fail
 
 
 @pytest.fixture

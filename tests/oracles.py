@@ -1,13 +1,17 @@
 """Brute-force reference implementations, used only by the test suite.
 
 Everything here is written straight from first principles: explicit pair
-enumeration for the AUC, dense grid searches for logistic fits, a
-sort-and-index percentile rule, a permutation estimate of the
-no-information value, and literal sequential transcriptions of the
-location-shifted and two-stage interval algorithms. The only things shared
-with the production path are the RNG stream definition (otherwise equality
-tests would be impossible) and the model-fit primitive (the quantity being
-resampled, not the algorithm under test).
+enumeration for the AUC, the Bernoulli log-likelihood with its analytic
+gradient (criterion 2's gradient check), the penalized objective on the
+solver's standardized scale (the lasso and ridge optimality probes), dense
+grid searches for logistic fits, a sort-and-index percentile rule, a
+permutation estimate of the no-information value, and literal sequential
+transcriptions of the location-shifted and two-stage interval algorithms.
+The only things shared with the production path are the RNG stream
+definition (otherwise equality tests would be impossible), the model-fit
+primitive (the quantity being resampled, not the algorithm under test), and
+the stable log(1 + exp) sum and the standardization that the objectives
+evaluate.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import math
 import numpy as np
 
 from bootval.data import Dataset
-from bootval.models import FitRecipe, fit, log_likelihood, predict
+from bootval.models import (FitRecipe, FittedModel, _standardize,
+                            _sum_log1pexp, fit, logistic, predict)
 from bootval.resampling import ResamplePlan, inner_level, stream
 
 
@@ -63,6 +68,34 @@ def jackknife_auc_variance(scores, outcomes) -> float:
     var += (m - 1) / m * float(np.sum(dev_pos ** 2))
     var += (n_neg - 1) / n_neg * float(np.sum(dev_neg ** 2))
     return var
+
+
+def log_likelihood(beta: np.ndarray, d: Dataset) -> float:
+    """Bernoulli log-likelihood at beta = (intercept, slopes)."""
+    eta = beta[0] + d.predictors @ beta[1:]
+    return float(np.sum(d.outcomes * eta)) - _sum_log1pexp(eta)
+
+
+def log_likelihood_gradient(beta: np.ndarray, d: Dataset) -> np.ndarray:
+    """Analytic gradient of the log-likelihood: Z^T (y - p), Z = [1, X]."""
+    eta = beta[0] + d.predictors @ beta[1:]
+    resid = d.outcomes - logistic(eta)
+    return np.concatenate(([resid.sum()], d.predictors.T @ resid))
+
+
+def penalized_objective(model: FittedModel, d: Dataset) -> float:
+    """-loglik + lambda * penalty(slopes), on the standardized scale the
+    solver works in (so grid-perturbation probes are meaningful)."""
+    xs, mu, sd = _standardize(d.predictors)
+    b = model.slopes * sd
+    a0 = model.intercept + float(model.slopes @ mu)
+    eta = a0 + xs @ b
+    ll = float(d.outcomes @ eta) - _sum_log1pexp(eta)
+    if model.estimator == "ridge":
+        pen = model.penalty * float(np.sum(b * b))
+    else:
+        pen = model.penalty * float(np.sum(np.abs(b)))
+    return -ll + pen
 
 
 def gridsearch_logistic_2d(d: Dataset, span: float = 8.0,

@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bootval import cli
 from bootval.cli import build_parser, main
-from bootval.data import save_csv
+from bootval.simulation import _phi_bounds
 
-from conftest import make_dataset
+from conftest import make_dataset, raising, save_csv
 
 
 @pytest.fixture
@@ -215,6 +216,73 @@ def test_simulate_reports_a_missing_generator_row(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "bootval: error: generator table section [binary_marginals] has "
         "no SEX row\n")
+
+
+# the largest correlation that the marginals of SEX and DIA allow
+SEX_DIA_BOUND = repr(float(_phi_bounds(0.25, 0.15)[1]))
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([("SEX,0.25", "SEX,one quarter")],
+     "value 'one quarter' is not a number"),
+    ([("60.0,225.0,-9.0", "60.0,225.0")],
+     "[continuous_covariance] has rows of unequal length"),
+    ([("100.0,60.0,-12.0\n60.0,225.0,-9.0\n-12.0,-9.0,144.0",
+       "100.0,60.0\n60.0,225.0")], "symmetric 3 x 3 matrix"),
+    ([("1.00,0.05,", f"1.00,{SEX_DIA_BOUND},"),
+      ("\n0.05,1.00,", f"\n{SEX_DIA_BOUND},1.00,")],
+     "between SEX and DIA has no latent normal correlation"),
+])
+def test_simulate_rejects_a_malformed_generator_table(tmp_path, capsys,
+                                                      edits, message):
+    text = (SRC / "bootval" / "params" / "default_generator.table"
+            ).read_text()
+    for old, new in edits:
+        text = text.replace(old, new, 1)
+    path = tmp_path / "edited.table"
+    path.write_text(text)
+    assert main(["simulate", "--scenarios", "1", "--generator-params",
+                 str(path), "--replications", "1", "--B", "2",
+                 "--calibration-n", "20000", "--estimand-n", "2000",
+                 "--output-prefix", str(tmp_path / "x")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_user_input_errors_exit_with_status_2(csv_path, tmp_path, capsys,
+                                               monkeypatch):
+    # Each is parsed where a NumPy or Python ValueError would arise, and
+    # reported as the library's own error.
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("y,caf\xe9\n1,2\n0,3\n".encode("latin-1"))
+    table = tmp_path / "latin1.table"
+    table.write_bytes(b"# caf\xe9\n")
+    prefix = str(tmp_path / "x")
+    cases = [
+        (["simulate", "--scenarios", "1,x", "--output-prefix", prefix],
+         "scenario ids must be integers, got '1,x'"),
+        (["validate", "--input", str(latin1), "--outcome-column", "y"],
+         "not UTF-8 text"),
+        (["simulate", "--generator-params", str(table),
+          "--output-prefix", prefix], "cannot read"),
+        (["simulate", "--generator-params", str(tmp_path / "none.table"),
+          "--output-prefix", prefix], "cannot read"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+    monkeypatch.setenv("BOOTVAL_WORKERS", "two")
+    assert main(["validate", "--input", csv_path, "--outcome-column",
+                 "y"]) == 2
+    assert ("BOOTVAL_WORKERS must be an integer, got 'two'"
+            in capsys.readouterr().err)
+
+
+def test_main_lets_a_numpy_error_propagate(csv_path, monkeypatch):
+    # LinAlgError subclasses ValueError; it is a fault, not a user's input
+    # error, so it must not become status 2.
+    monkeypatch.setattr(cli, "validate", raising(np.linalg.LinAlgError))
+    with pytest.raises(np.linalg.LinAlgError):
+        run_validate(csv_path, "-")
 
 
 def test_simulate_has_no_scenario_params_option(tmp_path, capsys):

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bootval.data import DataError, Dataset, class_counts, load_csv, save_csv
+from bootval.data import DataError, Dataset, class_counts, load_csv
 
-from conftest import make_dataset
+from conftest import make_dataset, save_csv
 
 
 def test_dataset_shape_and_defaults():

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from bootval.cli import main
-from bootval.data import Dataset, save_csv
+from bootval.data import Dataset
 
-from conftest import make_dataset
+from conftest import make_dataset, save_csv
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
+from bootval import intervals
 from bootval.intervals import (APPARENT, DELONG, IntervalError,
                                IntervalEstimate, LOCATION_SHIFTED, TWO_STAGE,
-                               apparent_bootstrap_ci, delong_interval,
-                               location_shifted_ci, parse_method,
-                               two_stage_ci, validate)
+                               _TwoStageOuterTask, apparent_bootstrap_ci,
+                               delong_interval, location_shifted_ci,
+                               parse_method, two_stage_ci, validate)
 from bootval.metrics import C_STATISTIC, delong_ci, measure_value
-from bootval.models import FitRecipe, predict
-from bootval.optimism import (METHODS, apparent_fit, correct,
+from bootval.models import FitError, FitRecipe, predict
+from bootval.optimism import (METHODS, OptimismError, apparent_fit, correct,
                               evaluate_replicates)
 from bootval.resampling import ResamplePlan
 
-from conftest import make_dataset
+from conftest import make_dataset, raising
 from oracles import (location_shifted_reference, percentile_oracle,
                      two_stage_reference)
 
@@ -214,6 +215,22 @@ def test_two_stage_all_outer_invalid_is_fatal():
     point = correct("harrell", C_STATISTIC, 0.7, reps)
     with pytest.raises(IntervalError, match="all outer replicates invalid"):
         two_stage_ci(point, np.full(3, np.nan), 2)
+
+
+@pytest.mark.parametrize("name, error", [("_bootstrap", FitError),
+                                         ("correct", OptimismError)])
+def test_two_stage_outer_task_catches_only_library_errors(monkeypatch, name,
+                                                          error):
+    # The library's error makes the outer value undefined (NaN); a
+    # LinAlgError (a ValueError) is a fault and propagates.
+    task = _TwoStageOuterTask(make_dataset(85, n=50, p=2), FitRecipe("ml"),
+                              C_STATISTIC, ResamplePlan(4, 31), 8, METHODS,
+                              None)
+    monkeypatch.setattr(intervals, name, raising(error))
+    assert np.isnan(task(0)).all()
+    monkeypatch.setattr(intervals, name, raising(np.linalg.LinAlgError))
+    with pytest.raises(np.linalg.LinAlgError):
+        task(0)
 
 
 def test_two_stage_shares_one_outer_map_across_corrections():

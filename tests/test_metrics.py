@@ -6,7 +6,7 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import norm, rankdata
 
 from bootval.metrics import (C_STATISTIC, CALIBRATION_SLOPE, MetricError,
-                             _midranks, c_statistic, c_statistic_value,
+                             _midranks, c_statistic_value,
                              calibration_slope, delong_ci, delong_variance,
                              measure_value, no_information)
 from bootval.models import FittedModel, RiskScores, predict
@@ -73,13 +73,6 @@ def test_auc_invariant_under_monotone_transform(seed):
     assert 0.0 <= base <= 1.0
 
 
-def test_c_statistic_wrapper_kind():
-    d = make_dataset(3, n=30, p=2)
-    mv = c_statistic(scores_of(np.random.default_rng(0).random(30)),
-                     d.outcomes)
-    assert mv.kind == C_STATISTIC
-
-
 def test_delong_variance_equals_stratified_jackknife():
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -129,7 +122,7 @@ def test_calibration_slope_matches_gridsearch():
     d = make_dataset(23, n=50, p=1)
     lp = 0.4 + 1.3 * d.predictors[:, 0]
     s = RiskScores(values=1.0 / (1.0 + np.exp(-lp)), linear_predictors=lp)
-    slope = calibration_slope(s, d.outcomes).value
+    slope = calibration_slope(s, d.outcomes)
     oracle = gridsearch_slope_1d(lp, d.outcomes, refine_to=1e-4)
     assert abs(slope - oracle) < 1e-3
 
@@ -140,8 +133,8 @@ def test_calibration_slope_halves_when_lp_doubles():
     s1 = RiskScores(values=1.0 / (1.0 + np.exp(-lp)), linear_predictors=lp)
     s2 = RiskScores(values=1.0 / (1.0 + np.exp(-2 * lp)),
                     linear_predictors=2.0 * lp)
-    a = calibration_slope(s1, d.outcomes).value
-    b = calibration_slope(s2, d.outcomes).value
+    a = calibration_slope(s1, d.outcomes)
+    b = calibration_slope(s2, d.outcomes)
     assert abs(b - a / 2.0) < 1e-6
 
 
@@ -153,7 +146,7 @@ def test_calibration_slope_near_one_for_true_model():
     lp = -0.5 + 1.2 * x
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-lp))).astype(float)
     s = RiskScores(values=1.0 / (1.0 + np.exp(-lp)), linear_predictors=lp)
-    assert abs(calibration_slope(s, y).value - 1.0) < 0.05
+    assert abs(calibration_slope(s, y) - 1.0) < 0.05
 
 
 def test_calibration_slope_rejects_constant_lp():
@@ -186,7 +179,7 @@ def test_measure_value_dispatch():
     assert measure_value(C_STATISTIC, scores, d.outcomes) == \
         c_statistic_value(scores.values, d.outcomes)
     assert measure_value(CALIBRATION_SLOPE, scores, d.outcomes) == \
-        calibration_slope(scores, d.outcomes).value
+        calibration_slope(scores, d.outcomes)
     with pytest.raises(MetricError):
         measure_value("brier", scores, d.outcomes)
 

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 from bootval.data import DataError, Dataset
 from bootval.models import (FitError, FitRecipe, _cd_penalized, _standardize,
                             fit, fit_ml, fit_penalized, lambda_grid,
-                            lasso_lambda_max, log_likelihood,
-                            log_likelihood_gradient, logistic,
-                            penalized_objective, predict)
+                            lasso_lambda_max, logistic, predict)
 from bootval.resampling import stream
 
 from conftest import make_dataset
-from oracles import gridsearch_logistic_2d
+from oracles import (gridsearch_logistic_2d, log_likelihood,
+                     log_likelihood_gradient, penalized_objective)
 
 
 def test_recipe_validation():
@@ -34,7 +33,8 @@ def test_fit_ml_matches_gridsearch_oracle():
     d = make_dataset(21, n=20, p=1)
     m = fit_ml(d)
     oracle = gridsearch_logistic_2d(d, refine_to=1e-4)
-    assert np.max(np.abs(m.coefficients() - oracle)) < 1e-3
+    beta = np.concatenate(([m.intercept], m.slopes))
+    assert np.max(np.abs(beta - oracle)) < 1e-3
 
 
 def test_fit_ml_rejects_single_class():
@@ -82,7 +82,8 @@ def test_ridge_zero_penalty_equals_ml():
     d = make_dataset(31, n=150, p=5)
     m_ml = fit_ml(d)
     m_rg = fit_penalized(d, FitRecipe("ridge", penalty=0.0))
-    assert np.max(np.abs(m_ml.coefficients() - m_rg.coefficients())) < 1e-6
+    assert abs(m_ml.intercept - m_rg.intercept) < 1e-6
+    assert np.max(np.abs(m_ml.slopes - m_rg.slopes)) < 1e-6
 
 
 def test_ridge_shrinks_toward_zero():
@@ -229,5 +230,6 @@ def test_ml_gradient_near_zero_at_optimum(seed):
     m = fit_ml(d)
     if not m.converged:
         return
-    grad = log_likelihood_gradient(m.coefficients(), d)
+    grad = log_likelihood_gradient(
+        np.concatenate(([m.intercept], m.slopes)), d)
     assert np.max(np.abs(grad)) < 1e-4 * d.n

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bootval import optimism
 from bootval.data import Dataset
 from bootval.metrics import CALIBRATION_SLOPE, C_STATISTIC, no_information
 from bootval.models import FitRecipe, predict
@@ -12,7 +13,7 @@ from bootval.optimism import (HARRELL, P632, P632PLUS, OptimismError,
                               p632plus_from_replicates, two_class_draw)
 from bootval.resampling import ResamplePlan
 
-from conftest import make_dataset
+from conftest import make_dataset, raising
 from oracles import _corrected_reference
 
 
@@ -190,6 +191,24 @@ def test_replicate_task_out_of_bag_partitions_index_set(monkeypatch):
             assert np.intersect1d(in_bag, out).size == 0
             assert np.array_equal(np.union1d(in_bag, out), np.arange(d.n))
             assert np.array_equal(out, np.sort(out))
+
+
+def test_replicate_task_lets_a_numpy_error_propagate(monkeypatch):
+    # Only the library's own errors make a replicate invalid. A LinAlgError
+    # (a ValueError) in the fits or in the out-of-bag grade is a fault.
+    d = make_dataset(17, n=200, p=2)
+    task = _ReplicateTask(d, FitRecipe("ml"), CALIBRATION_SLOPE,
+                          ResamplePlan(4, 9))
+
+    def failing_out_of_bag(model, data):
+        if data.n < d.n:
+            raise np.linalg.LinAlgError("injected")
+        return predict(model, data)
+
+    for failing in (raising(np.linalg.LinAlgError), failing_out_of_bag):
+        monkeypatch.setattr(optimism, "predict", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            task(0)
 
 
 def test_unknown_method_rejected():

@@ -176,6 +176,31 @@ def test_streamed_lp_does_not_depend_on_blas_threads():
     assert streamed[0] == streamed[1]
 
 
+COHORT_LP = """
+from bootval import simulation as s
+from bootval.resampling import stream
+cfg = s.GeneratorConfig.default()
+gen, slopes, n = s.CovariateGenerator(cfg), cfg.coefficients[(17, 1)], 27_027
+model, passed, logistic = s.TrueModel(-0.85, slopes), [], s.logistic
+s.logistic = lambda eta: passed.append(eta.copy()) or logistic(eta)
+s.generate_cohort(gen, model, 17, n, seed=5)
+want = model.beta0 + s._sample_lp(gen, slopes, 18, n, stream(5, 3, 1),
+                                  chunk=n)
+print(passed[0].tobytes() == want.tobytes())
+"""
+
+
+def test_generate_cohort_lp_does_not_depend_on_blas_threads():
+    """At two OpenBLAS threads a one-shot product of 27,027 rows and 17
+    columns differs from the one-thread bits in a row, by one ulp, which
+    scenario 5's intercept (about -0.85) keeps. The cohort's linear
+    predictor is reduced in blocks, as _sample_lp reduces it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="2")
+    done = subprocess.run([sys.executable, "-c", COHORT_LP], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "True"
+
+
 def test_generator_marginals_roughly_match():
     gen = CovariateGenerator(GeneratorConfig.default())
     x = gen.sample(100_000, stream(2, 0))
