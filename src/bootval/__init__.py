@@ -14,8 +14,7 @@ from .intervals import (IntervalEstimate, Validation, apparent_bootstrap_ci,
                         delong_interval, location_shifted_ci, parse_method,
                         two_stage_ci, validate)
 from .metrics import (C_STATISTIC, CALIBRATION_SLOPE, c_statistic_value,
-                      calibration_slope, delong_ci, delong_variance,
-                      no_information)
+                      calibration_slope, delong_variance, no_information)
 from .models import (FitRecipe, FittedModel, RiskScores, fit, fit_ml,
                      fit_penalized, predict)
 from .optimism import (HARRELL, P632, P632PLUS, OptimismResult, ReplicateSet,

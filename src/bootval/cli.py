@@ -143,9 +143,6 @@ def validate_command(args) -> dict:
                   else [m for m in CI_METHODS
                         if m != DELONG or args.measure == C_STATISTIC])
     specs = _interval_specs(ci_methods, corrections)
-    if DELONG in specs and args.measure != C_STATISTIC:
-        raise ConfigError("the DeLong interval applies to the c-statistic "
-                          "only")
     d = load_csv(args.input, args.outcome_column)
     recipe = FitRecipe(args.estimator, penalty=args.penalty)
     plan = ResamplePlan(args.B, args.seed)

@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .data import DataError, Dataset
-from .metrics import MetricError, delong_ci, measure_value
+from .metrics import C_STATISTIC, MetricError, delong_variance, measure_value
 from .models import FitError, FitRecipe, predict
 from .optimism import (METHODS, OOB_METHODS, OptimismError, OptimismResult,
                        ReplicateSet, apparent_fit, correct,
@@ -83,11 +84,15 @@ class IntervalEstimate:
 
 def delong_interval(scores, outcomes: np.ndarray,
                     alpha: float = 0.05) -> IntervalEstimate:
-    """metrics.delong_ci of the apparent risk scores as an IntervalEstimate
-    (C-statistic only)."""
-    auc = measure_value("c-statistic", scores, outcomes)
-    lower, upper = delong_ci(scores, outcomes, alpha)
-    return IntervalEstimate(DELONG, auc, lower, upper, alpha,
+    """DeLong's Wald interval of the apparent C-statistic, auc +/-
+    z_{1-alpha/2} * SE. Untruncated (may exceed [0,1]); a degenerate
+    variance yields a zero-width interval."""
+    if not 0.0 < alpha <= 1.0:
+        raise MetricError("alpha must be in (0, 1]")
+    auc = measure_value(C_STATISTIC, scores, outcomes)
+    var = delong_variance(scores.values, outcomes)
+    half = float(ndtri(1.0 - alpha / 2.0)) * np.sqrt(var) if var > 0 else 0.0
+    return IntervalEstimate(DELONG, auc, auc - half, auc + half, alpha,
                             n_valid=outcomes.shape[0])
 
 
@@ -209,6 +214,9 @@ def validate(d: Dataset, recipe: FitRecipe, measure: str, plan: ResamplePlan,
     specs (see parse_method). All two-stage intervals share one outer map,
     each outer replicate running the same bootstrap at inner_B."""
     parsed = [parse_method(m) for m in methods]
+    if measure != C_STATISTIC and any(k == DELONG for k, _ in parsed):
+        raise IntervalError("the DeLong interval applies to the c-statistic "
+                            "only")
     two_stage = list(dict.fromkeys(c for k, c in parsed if k == TWO_STAGE))
     if two_stage and (inner_B is None or inner_B < 1):
         raise IntervalError("inner_B must be >= 1")

@@ -3,7 +3,7 @@
 A bootstrap resample is the original rows with integer counts. Collapsing
 identical predictor rows into patterns turns the resample's Bernoulli
 likelihood into a binomial likelihood over the distinct rows, and its
-C-statistic into count-weighted midrank sums over one ordering of the
+C-statistic into count-weighted placement sums over one ordering of the
 distinct risk scores. Both are computed here for a block of replicates at
 once: the Newton-Raphson iterations of a block run in lockstep, and each
 replicate keeps the step-halving and stopping rule of models._newton_irls.
@@ -17,7 +17,7 @@ the top level; inside a two-stage outer replicate only for 0.632 or
 (Patterns.restrict) instead of being built again.
 
 The coefficients agree with a fit on the materialised resample to rounding
-(about 1e-14), and a C-statistic is an exact ratio of half-integer rank
+(about 1e-14), and a C-statistic is an exact ratio of half-integer
 sums, so replicate values equal those of a per-resample fit unless two
 distinct risk scores lie within rounding of each other, or the resample is
 separated. There the slopes grow until the stopping rule or the iteration
@@ -191,8 +191,8 @@ def c_statistics(scores: np.ndarray, samples) -> list[np.ndarray]:
     count pair in samples (per row, or one pair shared by all rows).
 
     One ordering per row serves every sample. The Mann-Whitney count
-    (pairs ordered right, plus half the tied pairs) is a sum of exact
-    half-integers, equal to the midrank sum less m(m+1)/2, so the ratio
+    (pairs ordered right, plus half the tied pairs) is the count-weighted
+    sum of the events' placements, exact half-integers, so the ratio
     equals metrics.c_statistic_value on the expanded rows bit for bit.
     NaN where a sample lacks a class."""
     r, k = scores.shape

@@ -1,16 +1,16 @@
-"""Predictive accuracy measures: C-statistic (AUC), DeLong variance and
-confidence interval, calibration slope, and analytic no-information values.
+"""Predictive accuracy measures: C-statistic (AUC), DeLong variance,
+calibration slope, and analytic no-information values.
 
-The C-statistic uses an O(n log n) midrank formulation whose floating-point
-result is bit-identical to explicit pair counting (both reduce to the same
-exact half-integer numerator). The bootstrap engines compute millions of
-AUCs, so the hot path stays allocation-light.
+The C-statistic and DeLong's variance both come from DeLong's placements,
+one sort of the scores: the count of the other class below each score,
+ties counted half. They are exact half-integers, so the C-statistic is
+bit-identical to explicit pair counting (both reduce to the same exact
+half-integer numerator).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import Dataset
 from .models import RiskScores, fit_ml
@@ -35,68 +35,47 @@ def no_information(kind: str) -> float:
         raise MetricError(f"unknown measure kind {kind!r}") from None
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based midranks with tie averaging (exact half-integers), equal to
-    `scipy.stats.rankdata(x, method="average")`: all NaN if any is NaN."""
-    x = np.asarray(x, dtype=np.float64)
-    if np.isnan(x).any():
-        return np.full(x.shape, np.nan)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
-    counts = np.diff(starts, append=x.size)
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
-    return ranks
+def _placements(scores: np.ndarray, outcomes: np.ndarray,
+                measure: str) -> tuple[np.ndarray, np.ndarray]:
+    """DeLong's placements: for each event, the nonevents scored below it
+    plus half those tied with it; for each nonevent, the same count of
+    events. Exact half-integers from one sort; all NaN if any score is."""
+    scores = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(outcomes) == 1
+    m = int(np.count_nonzero(pos))
+    if m == 0 or m == pos.shape[0]:
+        raise MetricError(f"{measure} needs both outcome classes")
+    if np.isnan(scores).any():
+        return np.full(m, np.nan), np.full(pos.shape[0] - m, np.nan)
+    distinct, group = np.unique(scores, return_inverse=True)
+    events = np.bincount(group[pos], minlength=distinct.shape[0])
+    nonevents = np.bincount(group[~pos], minlength=distinct.shape[0])
+    among_events = np.cumsum(events) - 0.5 * events
+    among_nonevents = np.cumsum(nonevents) - 0.5 * nonevents
+    return among_nonevents[group[pos]], among_events[group[~pos]]
 
 
 def c_statistic_value(scores: np.ndarray, outcomes: np.ndarray) -> float:
-    """AUC = (concordant + 0.5*tied) / (events * nonevents), computed from
-    midranks (Mann-Whitney identity; exact, including ties)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    outcomes = np.asarray(outcomes)
-    pos = outcomes == 1
-    m = int(np.count_nonzero(pos))
-    n_neg = outcomes.shape[0] - m
-    if m == 0 or n_neg == 0:
-        raise MetricError("c-statistic needs both outcome classes")
-    ranks = _midranks(scores)
-    rank_sum = float(np.sum(ranks[pos]))
-    return (rank_sum - 0.5 * m * (m + 1)) / (m * n_neg)
+    """AUC = (concordant + 0.5*tied) / (events * nonevents): the sum of the
+    events' placements over m * n (Mann-Whitney; exact, including ties)."""
+    event_places, nonevent_places = _placements(scores, outcomes,
+                                                "c-statistic")
+    return float(np.sum(event_places)) / (event_places.shape[0]
+                                          * nonevent_places.shape[0])
 
 
 def delong_variance(scores: np.ndarray, outcomes: np.ndarray) -> float:
     """DeLong variance of the AUC from the structural components: per-event
     V10 and per-nonevent V01."""
-    scores = np.asarray(scores, dtype=np.float64)
-    outcomes = np.asarray(outcomes)
-    pos = outcomes == 1
-    m = int(np.count_nonzero(pos))
-    n_neg = outcomes.shape[0] - m
-    if m == 0 or n_neg == 0:
-        raise MetricError("DeLong variance needs both outcome classes")
-    ranks = _midranks(scores)
-    v10 = (ranks[pos] - _midranks(scores[pos])) / n_neg
-    v01 = 1.0 - (ranks[~pos] - _midranks(scores[~pos])) / m
+    event_places, nonevent_places = _placements(scores, outcomes,
+                                                "DeLong variance")
+    m, n_neg = event_places.shape[0], nonevent_places.shape[0]
+    v10 = event_places / n_neg
+    v01 = 1.0 - nonevent_places / m
     auc = float(v10.mean())
     s10 = float(np.sum((v10 - auc) ** 2) / (m - 1)) if m > 1 else 0.0
     s01 = float(np.sum((v01 - auc) ** 2) / (n_neg - 1)) if n_neg > 1 else 0.0
     return s10 / m + s01 / n_neg
-
-
-def delong_ci(scores: RiskScores, outcomes: np.ndarray,
-              alpha: float = 0.05) -> tuple[float, float]:
-    """Wald interval auc +/- z_{1-alpha/2} * SE. Untruncated (may exceed
-    [0,1]); degenerate variance yields a flagged zero-width interval."""
-    if not 0.0 < alpha <= 1.0:
-        raise MetricError("alpha must be in (0, 1]")
-    auc = c_statistic_value(scores.values, outcomes)
-    var = delong_variance(scores.values, outcomes)
-    if var <= 0.0:
-        return auc, auc
-    z = float(ndtri(1.0 - alpha / 2.0))
-    half = z * np.sqrt(var)
-    return auc - half, auc + half
 
 
 def calibration_slope(scores: RiskScores, outcomes: np.ndarray) -> float:

@@ -137,10 +137,9 @@ class _CountsBlockTask:
     frequency-weight kernel (ML fits, C-statistic) on d's patterns; the
     out-of-bag values only if oob is set (see kernel.py)."""
 
-    def __init__(self, d: Dataset, recipe: FitRecipe, plan: ResamplePlan,
-                 patterns: Patterns, oob: bool):
+    def __init__(self, d: Dataset, plan: ResamplePlan, patterns: Patterns,
+                 oob: bool):
         self.d = d
-        self.recipe = recipe
         self.plan = plan
         self.patterns = patterns
         self.oob = oob
@@ -188,7 +187,7 @@ def evaluate_replicates(d: Dataset, recipe: FitRecipe, measure: str,
     if patterns is None:
         patterns = kernel_patterns(d, recipe, measure)
     if patterns is not None:
-        task = _CountsBlockTask(d, recipe, plan, patterns, oob)
+        task = _CountsBlockTask(d, plan, patterns, oob)
         n_tasks = -(-plan.B // BLOCK)
     else:
         task = _ReplicateTask(d, recipe, measure, plan, oob)

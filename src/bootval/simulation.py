@@ -182,13 +182,23 @@ class GeneratorConfig:
             return np.array(rows)
 
         def keyed(name, keys):
-            rows = {row[0]: number(row[1]) for row in section(name)}
+            cells = section(name)
+            for row in cells:
+                if len(row) != 2:
+                    raise SimulationError(f"generator table section "
+                                          f"[{name}] row {','.join(row)!r} "
+                                          f"is not a key and one value")
+            rows = {key: number(value) for key, value in cells}
             for key in keys:
                 if key not in rows:
                     raise SimulationError(f"generator table section "
                                           f"[{name}] has no {key} row")
             return np.array([rows[key] for key in keys])
 
+        age = matrix("age_threshold")
+        if age.shape != (1, 1):
+            raise SimulationError("generator table section [age_threshold] "
+                                  "must hold exactly one value")
         coeffs = {}
         for p in (8, 17):
             for t in (1, 2):
@@ -198,7 +208,7 @@ class GeneratorConfig:
             continuous_means=keyed("continuous_means",
                                    ("height", "weight", "age")),
             continuous_covariance=matrix("continuous_covariance"),
-            age_threshold=number(section("age_threshold")[0][0]),
+            age_threshold=float(age[0, 0]),
             smoking_proportions=keyed("smoking_proportions",
                                       ("current", "ex", "never")),
             binary_marginals=keyed("binary_marginals", BINARY_NAMES),
@@ -618,7 +628,8 @@ def estimate_true_auc(gen: CovariateGenerator, model: TrueModel, p: int,
     lp = _sample_lp(gen, model.slopes, columns_for_p(p), test_n, rng,
                     chunk=test_n)
     y = rng.random(test_n) < logistic(model.beta0 + lp)
-    return c_statistic_value(true_risk_score(lp), y)
+    lp = true_risk_score(lp)  # frees the unrounded values before the sort
+    return c_statistic_value(lp, y)
 
 
 @dataclass(frozen=True)
@@ -705,7 +716,7 @@ def run_scenario(spec: ScenarioSpec, methods, replications: int, B: int,
     for method in methods:
         covered, widths, failures = 0, [], 0
         for rec in records:
-            if rec is None or method not in rec:
+            if rec is None:
                 failures += 1
                 continue
             hit, width = rec[method]

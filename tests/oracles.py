@@ -1,17 +1,19 @@
-"""Brute-force reference implementations, used only by the test suite.
+"""Brute-force reference implementations, used by the test suite and by
+scripts/check_ranks.py.
 
 Everything here is written straight from first principles: explicit pair
-enumeration for the AUC, the Bernoulli log-likelihood with its analytic
-gradient (criterion 2's gradient check), the penalized objective on the
-solver's standardized scale (the lasso and ridge optimality probes), dense
-grid searches for logistic fits, a sort-and-index percentile rule, a
-permutation estimate of the no-information value, and literal sequential
-transcriptions of the location-shifted and two-stage interval algorithms.
-The only things shared with the production path are the RNG stream
-definition (otherwise equality tests would be impossible), the model-fit
-primitive (the quantity being resampled, not the algorithm under test), and
-the stable log(1 + exp) sum and the standardization that the objectives
-evaluate.
+enumeration for the AUC, the midrank C-statistic and DeLong variance that
+the placement forms replaced (their bit-for-bit reference), the Bernoulli
+log-likelihood with its analytic gradient (criterion 2's gradient check),
+the penalized objective on the solver's standardized scale (the lasso and
+ridge optimality probes), dense grid searches for logistic fits, a
+sort-and-index percentile rule, a permutation estimate of the
+no-information value, and literal sequential transcriptions of the
+location-shifted and two-stage interval algorithms. The only things shared
+with the production path are the RNG stream definition (otherwise equality
+tests would be impossible), the model-fit primitive (the quantity being
+resampled, not the algorithm under test), and the stable log(1 + exp) sum
+and the standardization that the objectives evaluate.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 import numpy as np
 
 from bootval.data import Dataset
+from bootval.metrics import MetricError
 from bootval.models import (FitRecipe, FittedModel, _standardize,
                             _sum_log1pexp, fit, logistic, predict)
 from bootval.resampling import ResamplePlan, inner_level, stream
@@ -68,6 +71,58 @@ def jackknife_auc_variance(scores, outcomes) -> float:
     var += (m - 1) / m * float(np.sum(dev_pos ** 2))
     var += (n_neg - 1) / n_neg * float(np.sum(dev_neg ** 2))
     return var
+
+
+# The midrank C-statistic and DeLong variance that the placement forms in
+# bootval.metrics replaced, kept verbatim as their bit-for-bit reference.
+
+def midranks(x: np.ndarray) -> np.ndarray:
+    """1-based midranks with tie averaging (exact half-integers), equal to
+    `scipy.stats.rankdata(x, method="average")`: all NaN if any is NaN."""
+    x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    counts = np.diff(starts, append=x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
+def midrank_c_statistic(scores: np.ndarray, outcomes: np.ndarray) -> float:
+    """AUC = (concordant + 0.5*tied) / (events * nonevents), computed from
+    midranks (Mann-Whitney identity; exact, including ties)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    outcomes = np.asarray(outcomes)
+    pos = outcomes == 1
+    m = int(np.count_nonzero(pos))
+    n_neg = outcomes.shape[0] - m
+    if m == 0 or n_neg == 0:
+        raise MetricError("c-statistic needs both outcome classes")
+    ranks = midranks(scores)
+    rank_sum = float(np.sum(ranks[pos]))
+    return (rank_sum - 0.5 * m * (m + 1)) / (m * n_neg)
+
+
+def midrank_delong_variance(scores: np.ndarray, outcomes: np.ndarray) -> float:
+    """DeLong variance of the AUC from the structural components: per-event
+    V10 and per-nonevent V01."""
+    scores = np.asarray(scores, dtype=np.float64)
+    outcomes = np.asarray(outcomes)
+    pos = outcomes == 1
+    m = int(np.count_nonzero(pos))
+    n_neg = outcomes.shape[0] - m
+    if m == 0 or n_neg == 0:
+        raise MetricError("DeLong variance needs both outcome classes")
+    ranks = midranks(scores)
+    v10 = (ranks[pos] - midranks(scores[pos])) / n_neg
+    v01 = 1.0 - (ranks[~pos] - midranks(scores[~pos])) / m
+    auc = float(v10.mean())
+    s10 = float(np.sum((v10 - auc) ** 2) / (m - 1)) if m > 1 else 0.0
+    s01 = float(np.sum((v01 - auc) ** 2) / (n_neg - 1)) if n_neg > 1 else 0.0
+    return s10 / m + s01 / n_neg
 
 
 def log_likelihood(beta: np.ndarray, d: Dataset) -> float:

@@ -232,6 +232,10 @@ SEX_DIA_BOUND = repr(float(_phi_bounds(0.25, 0.15)[1]))
     ([("1.00,0.05,", f"1.00,{SEX_DIA_BOUND},"),
       ("\n0.05,1.00,", f"\n{SEX_DIA_BOUND},1.00,")],
      "between SEX and DIA has no latent normal correlation"),
+    ([("SEX,0.25", "SEX")],
+     "[binary_marginals] row 'SEX' is not a key and one value"),
+    ([("[age_threshold]\n65\n", "[age_threshold]\n")],
+     "[age_threshold] must hold exactly one value"),
 ])
 def test_simulate_rejects_a_malformed_generator_table(tmp_path, capsys,
                                                       edits, message):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from bootval import intervals
 from bootval.intervals import (APPARENT, DELONG, IntervalError,
@@ -7,7 +8,8 @@ from bootval.intervals import (APPARENT, DELONG, IntervalError,
                                _TwoStageOuterTask, apparent_bootstrap_ci,
                                delong_interval, location_shifted_ci,
                                parse_method, two_stage_ci, validate)
-from bootval.metrics import C_STATISTIC, delong_ci, measure_value
+from bootval.metrics import (C_STATISTIC, CALIBRATION_SLOPE, delong_variance,
+                             measure_value)
 from bootval.models import FitError, FitRecipe, predict
 from bootval.optimism import (METHODS, OptimismError, apparent_fit, correct,
                               evaluate_replicates)
@@ -50,10 +52,20 @@ def test_delong_interval_wraps_metrics():
     scores = predict(apparent_fit(d, recipe, plan), d)
     est = delong_interval(scores, d.outcomes, 0.05)
     assert interval(d, recipe, plan, DELONG) == est
-    lo, hi = delong_ci(scores, d.outcomes, 0.05)
-    assert (est.lower, est.upper) == (lo, hi)
+    var = delong_variance(scores.values, d.outcomes)
+    half = float(ndtri(1.0 - 0.05 / 2.0)) * np.sqrt(var)
+    assert (est.lower, est.upper) == (est.point - half, est.point + half)
     assert est.method == DELONG
     assert est.point == measure_value(C_STATISTIC, scores, d.outcomes)
+
+
+def test_validate_rejects_delong_for_calibration_slope(monkeypatch):
+    # raised before any fit: the injected apparent fit is never reached
+    d = make_dataset(62, n=80, p=2)
+    monkeypatch.setattr(intervals, "apparent_fit", raising(AssertionError))
+    with pytest.raises(IntervalError, match="c-statistic only"):
+        validate(d, FitRecipe(), CALIBRATION_SLOPE, ResamplePlan(5, 1),
+                 methods=["apparent", "delong"])
 
 
 def test_apparent_ci_matches_percentile_oracle_on_replicates():

@@ -5,16 +5,18 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm, rankdata
 
+from bootval.intervals import delong_interval
 from bootval.metrics import (C_STATISTIC, CALIBRATION_SLOPE, MetricError,
-                             _midranks, c_statistic_value,
-                             calibration_slope, delong_ci, delong_variance,
-                             measure_value, no_information)
+                             c_statistic_value, calibration_slope,
+                             delong_variance, measure_value, no_information)
 from bootval.models import FittedModel, RiskScores, predict
 from bootval.simulation import CovariateGenerator, GeneratorConfig
 
 from conftest import make_dataset
 from oracles import (auc_bruteforce, gridsearch_slope_1d,
-                     jackknife_auc_variance, permutation_no_information)
+                     jackknife_auc_variance, midrank_c_statistic,
+                     midrank_delong_variance, midranks,
+                     permutation_no_information)
 
 
 def scores_of(values):
@@ -86,36 +88,41 @@ def test_delong_variance_equals_stratified_jackknife():
         assert abs(fast - oracle) < 1e-10
 
 
+def delong_bounds(scores, outcomes, alpha):
+    est = delong_interval(scores, outcomes, alpha)
+    return est.lower, est.upper
+
+
 def test_delong_ci_symmetric_about_point():
     d = make_dataset(15, n=120, p=2)
     s = scores_of(np.random.default_rng(5).random(120) * 0.5
                   + 0.3 * d.outcomes)
     auc = c_statistic_value(s.values, d.outcomes)
-    lo, hi = delong_ci(s, d.outcomes, 0.05)
+    lo, hi = delong_bounds(s, d.outcomes, 0.05)
     assert abs((hi - auc) - (auc - lo)) < 1e-12
     # monotone in alpha
-    lo2, hi2 = delong_ci(s, d.outcomes, 0.10)
+    lo2, hi2 = delong_bounds(s, d.outcomes, 0.10)
     assert lo2 >= lo and hi2 <= hi
 
 
 def test_delong_ci_alpha_one_is_zero_width():
     d = make_dataset(15, n=40, p=2)
     s = scores_of(np.random.default_rng(6).random(40))
-    lo, hi = delong_ci(s, d.outcomes, 1.0)
+    lo, hi = delong_bounds(s, d.outcomes, 1.0)
     assert lo == hi
 
 
 def test_delong_ci_degenerate_all_tied():
     y = np.array([1, 0, 1, 0])
     s = scores_of(np.full(4, 0.5))
-    lo, hi = delong_ci(s, y, 0.05)
+    lo, hi = delong_bounds(s, y, 0.05)
     assert lo == hi == 0.5
 
 
 def test_delong_ci_alpha_validation():
     y = np.array([1, 0])
     with pytest.raises(MetricError):
-        delong_ci(scores_of([0.2, 0.1]), y, 0.0)
+        delong_bounds(scores_of([0.2, 0.1]), y, 0.0)
 
 
 def test_calibration_slope_matches_gridsearch():
@@ -185,42 +192,98 @@ def test_measure_value_dispatch():
 
 
 def assert_same_ranks(x):
+    """The midrank reference in oracles agrees with SciPy's rankdata."""
     x = np.asarray(x, dtype=np.float64)
-    ours, theirs = _midranks(x), rankdata(x, method="average")
+    ours, theirs = midranks(x), rankdata(x, method="average")
     assert ours.dtype == theirs.dtype == np.float64
     assert np.array_equal(ours, theirs, equal_nan=True)
 
 
+def assert_same_as_midranks(scores, outcomes):
+    """The placement C-statistic and DeLong variance have the bytes of the
+    midrank reference, or raise where it raises."""
+    scores = np.asarray(scores, dtype=np.float64)
+    outcomes = np.asarray(outcomes)
+    for ours, reference in ((c_statistic_value, midrank_c_statistic),
+                            (delong_variance, midrank_delong_variance)):
+        try:
+            want = reference(scores, outcomes)
+        except MetricError:
+            with pytest.raises(MetricError):
+                ours(scores, outcomes)
+            continue
+        got = ours(scores, outcomes)
+        assert type(got) is type(want)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+HEAVY_TIES = st.sampled_from([-np.inf, -2.5, -1.0, -0.0, 0.0, 0.1, 0.2, 0.5,
+                              1e-300, 7.0, np.inf])
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+EDGE_CASES = [
+    [0.3], [np.nan], [np.inf], [-0.0],
+    [np.inf, -np.inf, np.inf, 0.0, -np.inf],
+    [-0.0, 0.0, -0.0, 0.0, 1.0, -1.0],
+    [0.2, np.nan, 0.1], [np.nan, np.nan], [],
+]
+
+
+def large_tied_scores():
+    rng = np.random.default_rng(4)
+    for n in (2, 3, 1000, 5440):
+        yield rng.integers(0, 7, size=n) / 7.0
+        yield rng.normal(size=n)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from([-np.inf, -2.5, -1.0, -0.0, 0.0, 0.1, 0.2,
-                                 0.5, 1e-300, 7.0, np.inf]),
-                min_size=1, max_size=80))
+@given(st.lists(HEAVY_TIES, min_size=1, max_size=80))
 def test_midranks_equal_rankdata_with_heavy_ties(values):
     assert_same_ranks(values)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(allow_nan=True, allow_infinity=True),
-                min_size=1, max_size=40))
+@given(st.lists(ANY_FLOAT, min_size=1, max_size=40))
 def test_midranks_equal_rankdata_on_any_floats(values):
     assert_same_ranks(values)
 
 
-@pytest.mark.parametrize("values", [
-    [0.3], [np.nan], [np.inf], [-0.0],
-    [np.inf, -np.inf, np.inf, 0.0, -np.inf],
-    [-0.0, 0.0, -0.0, 0.0, 1.0, -1.0],
-    [0.2, np.nan, 0.1], [np.nan, np.nan], [],
-])
+@pytest.mark.parametrize("values", EDGE_CASES)
 def test_midranks_equal_rankdata_edge_cases(values):
     assert_same_ranks(values)
 
 
 def test_midranks_equal_rankdata_on_large_tied_scores():
-    rng = np.random.default_rng(4)
-    for n in (2, 3, 1000, 5440):
-        assert_same_ranks(rng.integers(0, 7, size=n) / 7.0)
-        assert_same_ranks(rng.normal(size=n))
+    for x in large_tied_scores():
+        assert_same_ranks(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(HEAVY_TIES, st.integers(0, 1)), min_size=1,
+                max_size=80))
+def test_placements_equal_midranks_with_heavy_ties(rows):
+    assert_same_as_midranks(*zip(*rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(ANY_FLOAT, st.integers(0, 1)), min_size=1,
+                max_size=40))
+def test_placements_equal_midranks_on_any_floats(rows):
+    assert_same_as_midranks(*zip(*rows))
+
+
+@pytest.mark.parametrize("values", EDGE_CASES)
+def test_placements_equal_midranks_edge_cases(values):
+    n = len(values)
+    for outcomes in (np.arange(n) % 2, 1 - np.arange(n) % 2,
+                     (np.arange(n) < 2).astype(int)):
+        assert_same_as_midranks(values, outcomes)
+
+
+def test_placements_equal_midranks_on_large_tied_scores():
+    rng = np.random.default_rng(5)
+    for x in large_tied_scores():
+        assert_same_as_midranks(x, rng.integers(0, 2, size=x.shape[0]))
+        assert_same_as_midranks(x, (x > np.median(x)).astype(int))
 
 
 def test_ndtri_is_norm_ppf_for_delong_z():
