@@ -16,6 +16,20 @@ the top level; inside a two-stage outer replicate only for 0.632 or
 0.632+). An outer replicate's patterns are restricted from the dataset's
 (Patterns.restrict) instead of being built again.
 
+None of the following moves a bit, and each saves work at scenario 21's
+shape (every row distinct, thousands of patterns per resample):
+- Patterns.restrict gathers the rows of the dataset's outer-product table
+  instead of building the table again: each row holds products of that
+  pattern's own values, so the gathered rows are the rebuilt bytes.
+- fit_ml_counts carries the active replicates only and compacts them when
+  one finishes, so each matrix product sees the rows, in the order, that a
+  gather from the whole block would give it; a block whose replicates all
+  finish together is never copied. Its log-likelihood needs no mask
+  (see _log_likelihood).
+- c_statistics sums integers: cumulative nonevent counts in score order,
+  read through two shifted views and gathered only at positions inside a
+  tie group, so no sum depends on its order (see its docstring).
+
 The coefficients agree with a fit on the materialised resample to rounding
 (about 1e-14), and a C-statistic is an exact ratio of half-integer
 sums, so replicate values equal those of a per-resample fit unless two
@@ -54,10 +68,14 @@ class Patterns:
     def restrict(self, rows: np.ndarray) -> "Patterns":
         """The patterns of the resample d.subset(rows), equal array for
         array to Patterns(d.subset(rows)) without comparing rows again: a
-        subset's distinct rows are a sorted subset of the dataset's."""
+        subset's distinct rows are a sorted subset of the dataset's, and
+        their outer products the same rows of the dataset's table. A pool
+        worker builds that table once per task it unpickles (see
+        __getstate__), not once per outer replicate."""
         pat = object.__new__(Patterns)
         keep, pat.index = np.unique(self.index[rows], return_inverse=True)
         pat.outcomes, pat.z = self.outcomes[rows], self.z[keep]
+        pat._zz = self._zz[keep]
         return pat
 
     @cached_property
@@ -67,7 +85,8 @@ class Patterns:
 
     def __getstate__(self):
         # _zz is the largest part and follows from z: a pool worker that
-        # receives patterns builds it again only if it fits with them
+        # receives patterns builds it again, once per task it unpickles,
+        # only if it fits with them or restricts them
         return {k: v for k, v in self.__dict__.items() if k != "_zz"}
 
     def _tally(self, r, rep, rows):
@@ -109,10 +128,12 @@ class Patterns:
 def _log_likelihood(ez, trials, beta, eta, p):
     """Row-wise binomial log-likelihood sum(e * eta - t * log(1 + e^eta)),
     with sum(e * eta) = beta . (Z^T e) and log(1 + e^eta) taken from
-    p = logistic(eta) as eta - log(p) or -log(1 - p), whichever is exact."""
-    pos = eta > 0.0
-    log1pexp = np.where(pos, eta, 0.0)
-    log1pexp -= np.log(np.where(pos, p, 1.0 - p))
+    p = logistic(eta) as eta - log(p) where eta > 0 and -log(1 - p)
+    elsewhere, whichever is exact: max(eta, 0) - log(max(p, 1 - p)), as
+    p >= 1/2 where eta > 0 and p <= 1/2 elsewhere. The callers only
+    compare these values, so a zero's sign or a NaN's payload is free."""
+    log1pexp = np.maximum(eta, 0.0)
+    log1pexp -= np.log(np.maximum(p, 1.0 - p))
     return (beta * ez).sum(axis=1) - np.einsum("ij,ij->i", trials, log1pexp)
 
 
@@ -133,33 +154,40 @@ def fit_ml_counts(pat: Patterns, events: np.ndarray, trials: np.ndarray,
                   max_iter: int, tol: float) -> np.ndarray:
     """ML logistic coefficients (intercept first), one row per row of the
     (R, k) event and trial count matrices. Starts, steps and stops each
-    replicate as models.fit_ml does on the materialised resample."""
+    replicate as models.fit_ml does on the materialised resample.
+
+    The working set (counts, coefficients, probabilities and
+    log-likelihoods) holds the active replicates only, in their original
+    order, so every matrix product sees the rows it would see if each
+    iteration gathered them; it is compacted only when a replicate
+    finishes, which is when that replicate's coefficients are written."""
     z = pat.z
-    ez = events @ z
+    ez, t = events @ z, trials
     ybar = events.sum(axis=1) / trials.sum(axis=1)
-    beta = np.zeros((events.shape[0], z.shape[1]))
-    beta[:, 0] = np.log(ybar / (1.0 - ybar))
-    eta = beta @ z.T
-    p = logistic(eta)
-    ll = _log_likelihood(ez, trials, beta, eta, p)
+    b = np.zeros((events.shape[0], z.shape[1]))
+    b[:, 0] = np.log(ybar / (1.0 - ybar))
+    # b @ z.T is exactly the intercept: z's leading column is 1 and every
+    # other coefficient is 0
+    eta = np.repeat(b[:, :1], pat.k, axis=1)
+    p = np.repeat(logistic(b[:, :1]), pat.k, axis=1)
+    ll = _log_likelihood(ez, t, b, eta, p)
+    beta = np.empty_like(b)
     active = np.arange(events.shape[0])
     for _ in range(max_iter):
         if active.size == 0:
             break
-        a_ez, t, b, p_a, ll_a = (ez[active], trials[active], beta[active],
-                                 p[active], ll[active])
-        tp = t * p_a
-        w = p_a * (1.0 - p_a)
+        tp = t * p
+        w = p * (1.0 - p)
         # guard against exactly-zero weights under extreme separation
         np.maximum(w, 1e-12, out=w)
         w *= t
-        step = _solve(pat.hessians(w), a_ez - tp @ z)
+        step = _solve(pat.hessians(w), ez - tp @ z)
         size = np.ones(active.size)
         cand = b + step
         eta_c = cand @ z.T
         p_c = logistic(eta_c)
-        ll_c = _log_likelihood(a_ez, t, cand, eta_c, p_c)
-        pending = np.flatnonzero(~(ll_c >= ll_a))
+        ll_c = _log_likelihood(ez, t, cand, eta_c, p_c)
+        pending = np.flatnonzero(~(ll_c >= ll))
         for _ in range(39):  # 40 trial steps in all, as in _newton_irls
             if pending.size == 0:
                 break
@@ -168,16 +196,21 @@ def fit_ml_counts(pat: Patterns, events: np.ndarray, trials: np.ndarray,
             eta_c[pending] = cand[pending] @ z.T
             p_c[pending] = logistic(eta_c[pending])
             ll_c[pending] = _log_likelihood(
-                a_ez[pending], t[pending], cand[pending], eta_c[pending],
+                ez[pending], t[pending], cand[pending], eta_c[pending],
                 p_c[pending])
-            pending = pending[~(ll_c[pending] >= ll_a[pending])]
+            pending = pending[~(ll_c[pending] >= ll[pending])]
         # no improving step found: stop at the current coefficients
-        moved = ~(ll_c < ll_a)
-        done = ~moved | (ll_c - ll_a <= tol * (np.abs(ll_c) + 1e-12))
-        upd = active[moved]
-        beta[upd], eta[upd], p[upd], ll[upd] = (
-            cand[moved], eta_c[moved], p_c[moved], ll_c[moved])
-        active = active[~done]
+        moved = ~(ll_c < ll)
+        done = ~moved | (ll_c - ll <= tol * (np.abs(ll_c) + 1e-12))
+        if done.any():
+            fin = np.flatnonzero(done)
+            beta[active[fin]] = np.where(moved[fin, None], cand[fin], b[fin])
+            keep = ~done
+            active, ez, t = active[keep], ez[keep], t[keep]
+            b, p, ll = cand[keep], p_c[keep], ll_c[keep]
+        else:  # every replicate moved
+            b, p, ll = cand, p_c, ll_c
+    beta[active] = b  # still active when max_iter ran out
     return beta
 
 
@@ -190,35 +223,48 @@ def c_statistics(scores: np.ndarray, samples) -> list[np.ndarray]:
     """C-statistic of each row of scores (R, k) on each (events, trials)
     count pair in samples (per row, or one pair shared by all rows).
 
-    One ordering per row serves every sample. The Mann-Whitney count
-    (pairs ordered right, plus half the tied pairs) is the count-weighted
-    sum of the events' placements, exact half-integers, so the ratio
-    equals metrics.c_statistic_value on the expanded rows bit for bit.
-    NaN where a sample lacks a class."""
+    One ordering per row serves every sample. Let F be the cumulative
+    nonevent count in score order, with a zero in front. An event at
+    position j of a tie group spanning positions a..b places above
+    F[a] nonevents and ties with F[b + 1] - F[a], so twice the
+    Mann-Whitney count (pairs ordered right, plus half the tied pairs) is
+    sum_j e_j (F[a] + F[b + 1]). Outside a tie group that is
+    F[j] + F[j + 1], two shifted views of F; only the positions inside
+    tie groups, found once per ordering, are gathered. Every term is an
+    integer and the sum, at most 2 m n_neg, lies below 2**53, so the count
+    is exact in any summation order and the ratio equals
+    metrics.c_statistic_value on the expanded rows bit for bit. NaN where
+    a sample lacks a class."""
     r, k = scores.shape
     order = np.argsort(scores, axis=1)
     flat = (order + (np.arange(r) * k)[:, None]).ravel()
-    s = scores.ravel()[flat]
-    first = np.empty(s.shape[0], dtype=bool)
-    first[0] = True
-    first[1:] = s[1:] != s[:-1]
-    first[::k] = True
-    starts = np.flatnonzero(first)  # tie groups, in score order per row
-    row_first = np.searchsorted(starts, np.arange(r) * k)
-    row = starts // k
+    s = scores.ravel()[flat].reshape(r, k)
+    after = np.zeros((r, k), dtype=bool)  # tied with the position before
+    after[:, 1:] = s[:, 1:] == s[:, :-1]
+    before = np.zeros((r, k), dtype=bool)  # tied with the position after
+    before[:, :-1] = after[:, 1:]
+    at = np.flatnonzero(after | before)  # positions inside tie groups
+    starts = ~after.ravel()[at]
+    group = np.cumsum(starts) - 1
+    row = at // k  # F has k + 1 columns: position j of row i is F[i, j]
+    lo = at[starts][group] + row
+    hi = at[~before.ravel()[at]][group] + row + 1
     out = []
     for events, trials in samples:
+        f = trials - events
         if events.ndim == 1:
-            e, t = events[order].ravel(), trials[order].ravel()
+            e, f = events[order], f[order]
         else:
-            e, t = events.ravel()[flat], trials.ravel()[flat]
-        eg = np.add.reduceat(e, starts)
-        fg = np.add.reduceat(t - e, starts)
-        below = np.cumsum(fg) - fg  # nonevents in lower groups, all rows
-        below -= below[row_first][row]
-        m = np.add.reduceat(eg, row_first)
-        n_neg = np.add.reduceat(fg, row_first)
-        u = np.add.reduceat(eg * (below + 0.5 * fg), row_first)
+            e = events.ravel()[flat].reshape(r, k)
+            f = f.ravel()[flat].reshape(r, k)
+        cum = np.zeros((r, k + 1))
+        np.cumsum(f, axis=1, out=cum[:, 1:])
+        place = cum[:, :-1] + cum[:, 1:]
+        cum = cum.ravel()
+        place.ravel()[at] = cum[lo] + cum[hi]
+        m = e.sum(axis=1)
+        n_neg = cum[k::k + 1]
+        u = 0.5 * np.einsum("ij,ij->i", e, place)
         with np.errstate(divide="ignore", invalid="ignore"):
             auc = u / (m * n_neg)
         auc[(m == 0) | (n_neg == 0)] = np.nan

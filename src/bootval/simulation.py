@@ -580,6 +580,8 @@ def calibrate_intercept(gen: CovariateGenerator, slopes: np.ndarray,
     on the Monte Carlo mean of the event probability."""
     if not 0.0 < target_rate < 1.0:
         raise SimulationError("target rate must be in (0, 1)")
+    if sample_n < 1:
+        raise SimulationError("calibration sample must have >= 1 row")
     lp = _sample_lp(gen, slopes, columns_for_p(p), sample_n,
                     stream(seed, 3, 0))
     base = float(np.log(target_rate / (1.0 - target_rate)))

@@ -1,19 +1,21 @@
 """Brute-force reference implementations, used by the test suite and by
-scripts/check_ranks.py.
+scripts/check_ranks.py and scripts/check_kernel.py.
 
 Everything here is written straight from first principles: explicit pair
 enumeration for the AUC, the midrank C-statistic and DeLong variance that
-the placement forms replaced (their bit-for-bit reference), the Bernoulli
-log-likelihood with its analytic gradient (criterion 2's gradient check),
-the penalized objective on the solver's standardized scale (the lasso and
-ridge optimality probes), dense grid searches for logistic fits, a
-sort-and-index percentile rule, a permutation estimate of the
-no-information value, and literal sequential transcriptions of the
-location-shifted and two-stage interval algorithms. The only things shared
-with the production path are the RNG stream definition (otherwise equality
-tests would be impossible), the model-fit primitive (the quantity being
-resampled, not the algorithm under test), and the stable log(1 + exp) sum
-and the standardization that the objectives evaluate.
+the placement forms replaced (their bit-for-bit reference), the count
+kernel's earlier Newton fit, C-statistic and outer-product table (the
+same for bootval.kernel), the Bernoulli log-likelihood with its analytic
+gradient (criterion 2's gradient check), the penalized objective on the
+solver's standardized scale (the lasso and ridge optimality probes), dense
+grid searches for logistic fits, a sort-and-index percentile rule, a
+permutation estimate of the no-information value, and literal sequential
+transcriptions of the location-shifted and two-stage interval algorithms.
+The only things shared with the production path are the RNG stream
+definition (otherwise equality tests would be impossible), the model-fit
+primitive (the quantity being resampled, not the algorithm under test),
+the stable log(1 + exp) sum and the standardization that the objectives
+evaluate, and the count kernel's Patterns.hessians.
 """
 
 from __future__ import annotations
@@ -123,6 +125,133 @@ def midrank_delong_variance(scores: np.ndarray, outcomes: np.ndarray) -> float:
     s10 = float(np.sum((v10 - auc) ** 2) / (m - 1)) if m > 1 else 0.0
     s01 = float(np.sum((v01 - auc) ** 2) / (n_neg - 1)) if n_neg > 1 else 0.0
     return s10 / m + s01 / n_neg
+
+
+# The count kernel's outer-product table, Newton fit and C-statistic as
+# bootval.kernel computed them before it restricted the table, kept a
+# compact working set and summed cumulative counts; kept verbatim (renamed)
+# as their bit-for-bit reference. Patterns.hessians is shared: it did not
+# change, and it reads the table the patterns hold.
+
+def kernel_outer_products(z: np.ndarray) -> np.ndarray:
+    """A Patterns' _zz: the upper-triangular row outer products of z."""
+    i, j = np.triu_indices(z.shape[1])
+    return np.ascontiguousarray(z[:, i] * z[:, j])
+
+
+def kernel_log_likelihood(ez, trials, beta, eta, p):
+    """Row-wise binomial log-likelihood sum(e * eta - t * log(1 + e^eta)),
+    with sum(e * eta) = beta . (Z^T e) and log(1 + e^eta) taken from
+    p = logistic(eta) as eta - log(p) or -log(1 - p), whichever is exact."""
+    pos = eta > 0.0
+    log1pexp = np.where(pos, eta, 0.0)
+    log1pexp -= np.log(np.where(pos, p, 1.0 - p))
+    return (beta * ez).sum(axis=1) - np.einsum("ij,ij->i", trials, log1pexp)
+
+
+def kernel_solve(hess, grad):
+    try:
+        return np.linalg.solve(hess, grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        step = np.empty_like(grad)
+        for i in range(grad.shape[0]):
+            try:
+                step[i] = np.linalg.solve(hess[i], grad[i])
+            except np.linalg.LinAlgError:
+                step[i] = np.linalg.lstsq(hess[i], grad[i], rcond=None)[0]
+        return step
+
+
+def kernel_fit_ml_counts(pat, events: np.ndarray, trials: np.ndarray,
+                         max_iter: int, tol: float) -> np.ndarray:
+    """ML logistic coefficients (intercept first), one row per row of the
+    (R, k) event and trial count matrices. Starts, steps and stops each
+    replicate as models.fit_ml does on the materialised resample."""
+    z = pat.z
+    ez = events @ z
+    ybar = events.sum(axis=1) / trials.sum(axis=1)
+    beta = np.zeros((events.shape[0], z.shape[1]))
+    beta[:, 0] = np.log(ybar / (1.0 - ybar))
+    eta = beta @ z.T
+    p = logistic(eta)
+    ll = kernel_log_likelihood(ez, trials, beta, eta, p)
+    active = np.arange(events.shape[0])
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        a_ez, t, b, p_a, ll_a = (ez[active], trials[active], beta[active],
+                                 p[active], ll[active])
+        tp = t * p_a
+        w = p_a * (1.0 - p_a)
+        # guard against exactly-zero weights under extreme separation
+        np.maximum(w, 1e-12, out=w)
+        w *= t
+        step = kernel_solve(pat.hessians(w), a_ez - tp @ z)
+        size = np.ones(active.size)
+        cand = b + step
+        eta_c = cand @ z.T
+        p_c = logistic(eta_c)
+        ll_c = kernel_log_likelihood(a_ez, t, cand, eta_c, p_c)
+        pending = np.flatnonzero(~(ll_c >= ll_a))
+        for _ in range(39):  # 40 trial steps in all, as in _newton_irls
+            if pending.size == 0:
+                break
+            size[pending] *= 0.5
+            cand[pending] = b[pending] + size[pending, None] * step[pending]
+            eta_c[pending] = cand[pending] @ z.T
+            p_c[pending] = logistic(eta_c[pending])
+            ll_c[pending] = kernel_log_likelihood(
+                a_ez[pending], t[pending], cand[pending], eta_c[pending],
+                p_c[pending])
+            pending = pending[~(ll_c[pending] >= ll_a[pending])]
+        # no improving step found: stop at the current coefficients
+        moved = ~(ll_c < ll_a)
+        done = ~moved | (ll_c - ll_a <= tol * (np.abs(ll_c) + 1e-12))
+        upd = active[moved]
+        beta[upd], eta[upd], p[upd], ll[upd] = (
+            cand[moved], eta_c[moved], p_c[moved], ll_c[moved])
+        active = active[~done]
+    return beta
+
+
+def kernel_c_statistics(scores: np.ndarray, samples) -> list[np.ndarray]:
+    """C-statistic of each row of scores (R, k) on each (events, trials)
+    count pair in samples (per row, or one pair shared by all rows).
+
+    One ordering per row serves every sample. The Mann-Whitney count
+    (pairs ordered right, plus half the tied pairs) is the count-weighted
+    sum of the events' placements, exact half-integers, so the ratio
+    equals metrics.c_statistic_value on the expanded rows bit for bit.
+    NaN where a sample lacks a class."""
+    r, k = scores.shape
+    order = np.argsort(scores, axis=1)
+    flat = (order + (np.arange(r) * k)[:, None]).ravel()
+    s = scores.ravel()[flat]
+    first = np.empty(s.shape[0], dtype=bool)
+    first[0] = True
+    first[1:] = s[1:] != s[:-1]
+    first[::k] = True
+    starts = np.flatnonzero(first)  # tie groups, in score order per row
+    row_first = np.searchsorted(starts, np.arange(r) * k)
+    row = starts // k
+    out = []
+    for events, trials in samples:
+        if events.ndim == 1:
+            e, t = events[order].ravel(), trials[order].ravel()
+        else:
+            e, t = events.ravel()[flat], trials.ravel()[flat]
+        eg = np.add.reduceat(e, starts)
+        fg = np.add.reduceat(t - e, starts)
+        below = np.cumsum(fg) - fg  # nonevents in lower groups, all rows
+        below -= below[row_first][row]
+        m = np.add.reduceat(eg, row_first)
+        n_neg = np.add.reduceat(fg, row_first)
+        u = np.add.reduceat(eg * (below + 0.5 * fg), row_first)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            auc = u / (m * n_neg)
+        auc[(m == 0) | (n_neg == 0)] = np.nan
+        out.append(auc)
+    return out
 
 
 def log_likelihood(beta: np.ndarray, d: Dataset) -> float:

@@ -252,6 +252,18 @@ def test_simulate_rejects_a_malformed_generator_table(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("calibration_n", ["0", "-5"])
+def test_simulate_rejects_a_calibration_sample_without_rows(
+        tmp_path, capsys, calibration_n):
+    # the mean event probability of an empty sample is NaN, which the root
+    # search would meet as an uncaught ValueError
+    assert main(["simulate", "--scenarios", "1", "--replications", "1",
+                 "--B", "2", "--calibration-n", calibration_n,
+                 "--output-prefix", str(tmp_path / "x")]) == 2
+    assert ("calibration sample must have >= 1 row"
+            in capsys.readouterr().err)
+
+
 def test_user_input_errors_exit_with_status_2(csv_path, tmp_path, capsys,
                                                monkeypatch):
     # Each is parsed where a NumPy or Python ValueError would arise, and
