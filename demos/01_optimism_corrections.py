@@ -44,7 +44,7 @@ def main():
     reps = result.replicates
     print(f"\nbootstrap replicates: {plan.B} "
           f"({int(reps.valid.sum())} valid, "
-          f"{int((reps.valid & reps.oob_valid).sum())} with usable "
+          f"{int(reps.oob_valid.sum())} with usable "
           f"out-of-bag sets)")
 
     print(f"\n{'method':<10} {'corrected':>10} {'optimism':>10}")

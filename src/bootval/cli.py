@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -21,7 +22,7 @@ from .intervals import (CI_METHODS, CORRECTED, DELONG, IntervalError,
 from .metrics import C_STATISTIC, CALIBRATION_SLOPE, MetricError
 from .models import FitError, FitRecipe
 from .optimism import METHODS, OptimismError
-from .resampling import ResamplePlan, ResamplingError, default_workers
+from .resampling import ResamplePlan, ResamplingError
 from .simulation import (GeneratorConfig, ScenarioSpec, SimulationError,
                          coverage_to_csv, coverage_to_json, run_scenario)
 # Not called here: bench/launch.py times these layers through the names
@@ -125,8 +126,10 @@ def _check_common(args):
         args.inner_B = args.B
     if args.inner_B < 1:
         raise ConfigError("inner_B must be >= 1")
+    if args.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if args.workers is None:
-        args.workers = default_workers()
+        args.workers = os.cpu_count() or 1
     if args.workers < 1:
         raise ConfigError("workers must be >= 1")
 
@@ -209,8 +212,7 @@ def validate_command(args) -> dict:
         "corrections": corrections_out,
         "intervals": intervals_out,
         "replicates": {"B": plan.B, "valid": int(reps.valid.sum()),
-                       "oob_valid": int((reps.valid &
-                                         reps.oob_valid).sum())},
+                       "oob_valid": int(reps.oob_valid.sum())},
         "library_version": __version__,
         "rng_scheme": RNG_SCHEME,
     }
@@ -263,26 +265,37 @@ def simulate_command(args) -> tuple[str, str]:
     return coverage_to_csv(results), coverage_to_json(results, meta)
 
 
+def _check_writable(path: str):
+    """Raise ConfigError if a report cannot be written to path."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(folder):
+        raise ConfigError(f"cannot write {path}: no directory {folder}")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise ConfigError(f"cannot write {path}: permission denied")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "simulate":
+        paths = [args.output_prefix + ".csv", args.output_prefix + ".json"]
+    else:
+        paths = [] if args.output == "-" else [args.output]
     try:
-        if args.command == "validate":
-            report = validate_command(args)
-            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-            if args.output == "-":
-                sys.stdout.write(text)
-            else:
-                with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+        for path in paths:  # before any compute
+            _check_writable(path)
+        if args.command == "simulate":
+            texts = simulate_command(args)
         else:
-            csv_text, json_text = simulate_command(args)
-            with open(args.output_prefix + ".csv", "w",
-                      encoding="utf-8") as fh:
-                fh.write(csv_text)
-            with open(args.output_prefix + ".json", "w",
-                      encoding="utf-8") as fh:
-                fh.write(json_text)
+            texts = [json.dumps(validate_command(args), indent=2,
+                                sort_keys=True) + "\n"]
+        if not paths:
+            sys.stdout.write(texts[0])
+        for path, text in zip(paths, texts):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except (ConfigError, DataError, FitError, IntervalError, MetricError,
             OptimismError, ResamplingError, SimulationError) as exc:
         print(f"bootval: error: {exc}", file=sys.stderr)

@@ -53,8 +53,8 @@ class FitRecipe:
     def __post_init__(self):
         if self.estimator not in ("ml", "ridge", "lasso"):
             raise FitError(f"unknown estimator {self.estimator!r}")
-        if self.penalty is not None and self.penalty < 0:
-            raise FitError("penalty must be nonnegative")
+        if self.penalty is not None and not 0 <= self.penalty < np.inf:
+            raise FitError("penalty must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -339,13 +339,15 @@ def _back_transform(kind, a0, b, live, mu, sd, lam, converged, iterations):
 def fit(d: Dataset, recipe: FitRecipe,
         fold_rng: np.random.Generator | None = None,
         workers: int = 1) -> FittedModel:
-    """Dispatch on the recipe's estimator. The single entry point used by
-    the bootstrap engine, so the full model-development process (including
-    any penalty tuning) is what gets resampled. `workers` spreads a CV
-    penalty's folds across processes."""
-    if recipe.estimator == "ml":
-        return fit_ml(d)
-    return fit_penalized(d, recipe, fold_rng=fold_rng, workers=workers)
+    """Dispatch on the recipe's estimator; a non-finite fit is a FitError.
+    The bootstrap engine's single entry point, so the full
+    model-development process, penalty tuning included, is what gets
+    resampled. `workers` spreads a CV penalty's folds across processes."""
+    model = (fit_ml(d) if recipe.estimator == "ml" else
+             fit_penalized(d, recipe, fold_rng=fold_rng, workers=workers))
+    if not np.isfinite([model.intercept, *model.slopes]).all():
+        raise FitError(f"{recipe.estimator} fit has non-finite coefficients")
+    return model
 
 
 def predict(m: FittedModel, d: Dataset) -> RiskScores:

@@ -36,17 +36,24 @@ class OptimismError(ValueError):
 
 @dataclass(frozen=True)
 class ReplicateSet:
-    """Per-replicate performance triples, aligned by replicate index."""
+    """Per-replicate performance triples, aligned by replicate index; NaN
+    marks a value that could not be computed (see evaluate_replicates)."""
 
     theta_boot: np.ndarray
     theta_orig: np.ndarray
     theta_out: np.ndarray
-    valid: np.ndarray      # resample drawable, boot/orig measurable
-    oob_valid: np.ndarray  # valid and OOB nonempty, two-class, measurable
 
     @property
     def B(self) -> int:
         return self.theta_boot.shape[0]
+
+    @property
+    def valid(self) -> np.ndarray:
+        return ~(np.isnan(self.theta_boot) | np.isnan(self.theta_orig))
+
+    @property
+    def oob_valid(self) -> np.ndarray:
+        return self.valid & ~np.isnan(self.theta_out)
 
 
 def apparent_fit(d: Dataset, recipe: FitRecipe, plan: ResamplePlan,
@@ -82,11 +89,9 @@ def two_class_block(d: Dataset, plan: ResamplePlan, rs: range):
     return idx, ok
 
 
-_INVALID = (np.nan, np.nan, np.nan, False, False)
-
-
 class _ReplicateTask:
-    """Picklable per-replicate evaluation for the bootstrap engine."""
+    """Picklable per-replicate evaluation for the bootstrap engine: the row
+    [theta_boot, theta_orig, theta_out] of replicate r."""
 
     def __init__(self, d: Dataset, recipe: FitRecipe, measure: str,
                  plan: ResamplePlan, oob: bool = True):
@@ -96,35 +101,32 @@ class _ReplicateTask:
         self.plan = plan
         self.oob = oob
 
-    def __call__(self, r: int):
+    def __call__(self, r: int) -> list[float]:
         d, plan = self.d, self.plan
+        row = [np.nan] * 3
         idx = two_class_draw(d, plan, r)
         if idx is None:
-            return [(r, *_INVALID)]
+            return row
         boot_d = d.subset(idx)
         try:
             model = fit(boot_d, self.recipe, fold_rng=plan.cv_rng(r))
-            theta_boot = measure_value(self.measure, predict(model, boot_d),
-                                       boot_d.outcomes)
-            theta_orig = measure_value(self.measure, predict(model, d),
-                                       d.outcomes)
+            row[:2] = (measure_value(self.measure, predict(model, boot_d),
+                                     boot_d.outcomes),
+                       measure_value(self.measure, predict(model, d),
+                                     d.outcomes))
         except (DataError, FitError, MetricError):
-            return [(r, *_INVALID)]
+            return row
         if not self.oob:
-            return [(r, theta_boot, theta_orig, np.nan, True, False)]
-        theta_out, oob_ok = np.nan, False
+            return row
         out_of_bag = np.flatnonzero(np.bincount(idx, minlength=d.n) == 0)
-        if out_of_bag.size > 0:
+        if 0.0 < d.outcomes[out_of_bag].sum() < out_of_bag.size:  # 2 classes
             oob_d = d.subset(out_of_bag)
-            y_out = oob_d.outcomes
-            if 0.0 < y_out.mean() < 1.0:
-                try:
-                    theta_out = measure_value(
-                        self.measure, predict(model, oob_d), y_out)
-                    oob_ok = True
-                except (DataError, MetricError):
-                    pass
-        return [(r, theta_boot, theta_orig, theta_out, True, oob_ok)]
+            try:
+                row[2] = measure_value(self.measure, predict(model, oob_d),
+                                       oob_d.outcomes)
+            except (DataError, MetricError):
+                pass
+        return row
 
 
 #: replicates per lockstep block of the count kernel; fixed, so that a
@@ -134,8 +136,9 @@ BLOCK = 100
 
 class _CountsBlockTask:
     """Picklable evaluation of one block of replicates with the
-    frequency-weight kernel (ML fits, C-statistic) on d's patterns; the
-    out-of-bag values only if oob is set (see kernel.py)."""
+    frequency-weight kernel (ML fits, C-statistic) on d's patterns: a
+    (len(block), 3) array of _ReplicateTask's rows, whose out-of-bag
+    column is NaN unless oob is set (see kernel.py)."""
 
     def __init__(self, d: Dataset, plan: ResamplePlan, patterns: Patterns,
                  oob: bool):
@@ -145,13 +148,13 @@ class _CountsBlockTask:
         self.oob = oob
         self.orig_counts = patterns.counts(np.arange(d.n))
 
-    def __call__(self, block: int):
+    def __call__(self, block: int) -> np.ndarray:
         d, plan, pat = self.d, self.plan, self.patterns
         rs = range(block * BLOCK, min(plan.B, (block + 1) * BLOCK))
         idx, ok = two_class_block(d, plan, rs)
-        out = [(rs[i], *_INVALID) for i in np.flatnonzero(~ok)]
+        rows = np.full((len(rs), 3), np.nan)
         if not ok.any():
-            return out
+            return rows
         idx = idx[ok]
         events, trials = pat.counts(idx)
         beta = fit_ml_counts(pat, events, trials, MAX_ITER, TOL)
@@ -159,11 +162,8 @@ class _CountsBlockTask:
         if self.oob:
             samples.append(pat.counts_outside(idx))
         thetas = c_statistics(risk_scores(pat, beta), samples)
-        if not self.oob:
-            thetas.append(np.full(idx.shape[0], np.nan))
-        for i, tb, to, tout in zip(np.flatnonzero(ok), *thetas):
-            out.append((rs[i], tb, to, tout, True, bool(np.isfinite(tout))))
-        return out
+        rows[ok, :len(thetas)] = np.transpose(thetas)
+        return rows
 
 
 def kernel_patterns(d: Dataset, recipe: FitRecipe,
@@ -179,11 +179,12 @@ def evaluate_replicates(d: Dataset, recipe: FitRecipe, measure: str,
                         plan: ResamplePlan, workers: int = 1,
                         patterns: Patterns | None = None,
                         oob: bool = True) -> ReplicateSet:
-    """Compute (theta_boot, theta_orig, theta_out) for every replicate of
-    the plan. Order- and worker-count-independent. ML fits graded by the
+    """(theta_boot, theta_orig, theta_out) of every replicate of the plan,
+    NaN where a value could not be computed: no two-class resample, a
+    failed fit or grade, or an empty, one-class or unrequested out-of-bag
+    set. Order- and worker-count-independent. ML fits graded by the
     C-statistic run on the frequency-weight kernel (see kernel.py), on
-    `patterns` when the caller has d's kernel_patterns. Without oob,
-    theta_out is NaN and oob_valid False throughout."""
+    `patterns` when the caller has d's kernel_patterns."""
     if patterns is None:
         patterns = kernel_patterns(d, recipe, measure)
     if patterns is not None:
@@ -192,16 +193,8 @@ def evaluate_replicates(d: Dataset, recipe: FitRecipe, measure: str,
     else:
         task = _ReplicateTask(d, recipe, measure, plan, oob)
         n_tasks = plan.B
-    boot = np.full(plan.B, np.nan)
-    orig = np.full(plan.B, np.nan)
-    out = np.full(plan.B, np.nan)
-    valid = np.zeros(plan.B, dtype=bool)
-    oob_valid = np.zeros(plan.B, dtype=bool)
-    for records in map_records(n_tasks, task, workers=workers):
-        for r, tb, to, tout, ok, oob_ok in records:
-            boot[r], orig[r], out[r] = tb, to, tout
-            valid[r], oob_valid[r] = ok, oob_ok
-    return ReplicateSet(boot, orig, out, valid, oob_valid)
+    rows = np.vstack(map_records(n_tasks, task, workers=workers))
+    return ReplicateSet(*rows.T)
 
 
 @dataclass(frozen=True)
@@ -226,7 +219,7 @@ class OptimismResult:
 
 
 def _theta_out_mean(reps: ReplicateSet) -> tuple[float, int]:
-    mask = reps.valid & reps.oob_valid
+    mask = reps.oob_valid
     n = int(mask.sum())
     if n == 0:
         raise OptimismError("no valid replicates with usable out-of-bag sets")

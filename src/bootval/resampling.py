@@ -21,7 +21,6 @@ key in turn and lets NumPy draw the integers, so each row equals draw()'s.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -58,6 +57,8 @@ class ResamplePlan:
     def __post_init__(self):
         if self.B < 1:
             raise ResamplingError("B must be >= 1")
+        if self.seed < 0:
+            raise ResamplingError("seed must be >= 0")
 
     def rng(self, r: int, purpose: int = _DRAW, retry: int = 0):
         return stream(self.seed, *self.level, r, purpose, retry)
@@ -205,17 +206,6 @@ def percentile_interval(values: np.ndarray,
         raise ResamplingError("need at least 2 valid replicates")
     return (quantile_type7(vals, alpha / 2.0),
             quantile_type7(vals, 1.0 - alpha / 2.0))
-
-
-def default_workers() -> int:
-    env = os.environ.get("BOOTVAL_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ResamplingError(f"BOOTVAL_WORKERS must be an integer, "
-                                  f"got {env!r}") from None
-    return os.cpu_count() or 1
 
 
 def map_records(n_items: int, task, workers: int = 1) -> list:

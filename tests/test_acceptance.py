@@ -94,11 +94,9 @@ def test_criterion_3_ridge_lambda_zero_agreement():
 def test_criterion_4_formula_identities_exact():
     """0.632 convex combination, 0.632+ weight limits, Harrell identity,
     and the location-shift bound/width identities, all exact."""
-    ones = np.ones(1, dtype=bool)
-
     def reps(boot, orig, out):
         return ReplicateSet(np.array([boot]), np.array([orig]),
-                            np.array([out]), ones, ones)
+                            np.array([out]))
 
     # 0.632 convex combination with the literal constants
     r = p632_from_replicates(0.9, reps(0.9, 0.9, 0.8))
@@ -113,8 +111,7 @@ def test_criterion_4_formula_identities_exact():
     # Harrell: corrected = apparent - optimism, exactly
     h = harrell_from_replicates(
         0.84, ReplicateSet(np.array([0.90, 0.88]), np.array([0.85, 0.87]),
-                           np.full(2, np.nan), np.ones(2, dtype=bool),
-                           np.zeros(2, dtype=bool)))
+                           np.full(2, np.nan)))
     assert h.corrected == h.apparent - h.optimism
 
     # location-shift: bounds = apparent bounds - shift; width identical

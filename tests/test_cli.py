@@ -9,6 +9,7 @@ import pytest
 
 from bootval import cli
 from bootval.cli import build_parser, main
+from bootval.data import Dataset
 from bootval.simulation import _phi_bounds
 
 from conftest import make_dataset, raising, save_csv
@@ -264,8 +265,7 @@ def test_simulate_rejects_a_calibration_sample_without_rows(
             in capsys.readouterr().err)
 
 
-def test_user_input_errors_exit_with_status_2(csv_path, tmp_path, capsys,
-                                               monkeypatch):
+def test_user_input_errors_exit_with_status_2(tmp_path, capsys):
     # Each is parsed where a NumPy or Python ValueError would arise, and
     # reported as the library's own error.
     latin1 = tmp_path / "latin1.csv"
@@ -286,11 +286,68 @@ def test_user_input_errors_exit_with_status_2(csv_path, tmp_path, capsys,
     for argv, message in cases:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
-    monkeypatch.setenv("BOOTVAL_WORKERS", "two")
-    assert main(["validate", "--input", csv_path, "--outcome-column",
-                 "y"]) == 2
-    assert ("BOOTVAL_WORKERS must be an integer, got 'two'"
+
+
+def test_validate_rejects_a_negative_seed(csv_path, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run_validate(csv_path, out, "--seed", "-1") == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_negative_seed(tmp_path, capsys):
+    assert main(["simulate", "--seed", "-1",
+                 "--output-prefix", str(tmp_path / "x")]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("penalty", ["nan", "inf"])
+def test_validate_rejects_a_non_finite_penalty(csv_path, tmp_path, capsys,
+                                               penalty):
+    out = tmp_path / "report.json"
+    assert run_validate(csv_path, out, "--estimator", "ridge",
+                        "--penalty", penalty) == 2
+    assert "penalty must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_rejects_a_fit_with_non_finite_coefficients(tmp_path,
+                                                             capsys):
+    # a predictor scaled by 1e200 overflows the ML fit's Hessian
+    d = make_dataset(93, n=60, p=2)
+    x = d.predictors.copy()
+    x[:, 1] *= 1e200
+    path = tmp_path / "huge.csv"
+    save_csv(Dataset(d.outcomes, x), path)
+    out = tmp_path / "report.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_validate(str(path), out) == 2
+    assert ("ml fit has non-finite coefficients"
             in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_validate_checks_the_output_before_compute(csv_path, tmp_path,
+                                                  capsys, monkeypatch):
+    monkeypatch.setattr(cli, "validate", raising(AssertionError))
+    before = sorted(tmp_path.iterdir())
+    for target in (tmp_path / "none" / "report.json", tmp_path):
+        assert run_validate(csv_path, target) == 2
+        assert f"cannot write {target}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_simulate_checks_the_output_prefix_before_compute(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(cli, "run_scenario", raising(AssertionError))
+    (tmp_path / "dir.json").mkdir()
+    for prefix, target in (("none/x", "none/x.csv"), ("dir", "dir.json")):
+        assert main(["simulate",
+                     "--output-prefix", str(tmp_path / prefix)]) == 2
+        assert (f"cannot write {tmp_path / target}"
+                in capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == ["dir.json"]
 
 
 def test_main_lets_a_numpy_error_propagate(csv_path, monkeypatch):

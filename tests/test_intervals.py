@@ -104,8 +104,7 @@ def test_location_shift_zero_shift_equals_apparent():
     # stub replicate set with boot == orig makes the Harrell shift zero
     from bootval.optimism import ReplicateSet
     vals = np.linspace(0.6, 0.9, 10)
-    reps = ReplicateSet(vals, vals.copy(), np.full(10, np.nan),
-                        np.ones(10, dtype=bool), np.zeros(10, dtype=bool))
+    reps = ReplicateSet(vals, vals.copy(), np.full(10, np.nan))
     app = apparent_bootstrap_ci(0.75, reps, 0.05)
     shifted = location_shifted_ci(correct("harrell", C_STATISTIC, 0.75, reps),
                                   reps, 0.05)

@@ -115,11 +115,9 @@ def _assert_equals_per_replicate_path(d, plan):
     recipe = FitRecipe("ml")
     fast = evaluate_replicates(d, recipe, C_STATISTIC, plan)
     task = _ReplicateTask(d, recipe, C_STATISTIC, plan)
-    slow = [rec for r in range(plan.B) for rec in task(r)]
-    for field, col in (("theta_boot", 1), ("theta_orig", 2),
-                       ("theta_out", 3), ("valid", 4), ("oob_valid", 5)):
-        want = np.array([rec[col] for rec in slow])
-        assert np.array_equal(getattr(fast, field), want,
+    slow = np.array([task(r) for r in range(plan.B)])
+    for col, field in enumerate(("theta_boot", "theta_orig", "theta_out")):
+        assert np.array_equal(getattr(fast, field), slow[:, col],
                               equal_nan=True), field
     return fast
 

@@ -19,6 +19,9 @@ def test_recipe_validation():
         FitRecipe("probit")
     with pytest.raises(FitError):
         FitRecipe("ridge", penalty=-1.0)
+    for penalty in (np.nan, np.inf, -np.inf):
+        with pytest.raises(FitError, match="finite and nonnegative"):
+            FitRecipe("ridge", penalty=penalty)
 
 
 def test_intercept_only_balanced_outcomes():

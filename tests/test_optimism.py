@@ -20,13 +20,9 @@ from oracles import _corrected_reference
 def reps_of(boot, orig, out=None):
     boot = np.asarray(boot, dtype=float)
     orig = np.asarray(orig, dtype=float)
-    if out is None:
-        out = np.full_like(boot, np.nan)
-        oob = np.zeros(boot.size, dtype=bool)
-    else:
-        out = np.asarray(out, dtype=float)
-        oob = np.ones(boot.size, dtype=bool)
-    return ReplicateSet(boot, orig, out, np.ones(boot.size, dtype=bool), oob)
+    out = (np.full_like(boot, np.nan) if out is None
+           else np.asarray(out, dtype=float))
+    return ReplicateSet(boot, orig, out)
 
 
 def test_harrell_hand_arithmetic():
@@ -181,8 +177,9 @@ def test_replicate_task_out_of_bag_partitions_index_set(monkeypatch):
                               oob)
         for r in range(plan.B):
             subsets.clear()
-            [(_, _, _, theta_out, ok, oob_ok)] = task(r)
-            assert ok and oob_ok == oob
+            theta_boot, theta_orig, theta_out = task(r)
+            assert not np.isnan([theta_boot, theta_orig]).any()
+            assert np.isnan(theta_out) != oob
             assert np.array_equal(subsets[0], two_class_draw(d, plan, r))
             if not oob:
                 assert len(subsets) == 1 and np.isnan(theta_out)
@@ -222,10 +219,18 @@ def test_unknown_method_rejected():
                  corrections=["jackknife"])
 
 
+def test_nan_marks_an_invalid_replicate():
+    reps = reps_of([0.9, np.nan, 0.8, 0.7], [0.8, 0.8, np.nan, 0.6],
+                   [0.7, 0.7, 0.7, np.nan])
+    assert reps.B == 4
+    assert reps.valid.tolist() == [True, False, False, True]
+    assert reps.oob_valid.tolist() == [True, False, False, False]
+    assert harrell_from_replicates(0.8, reps).n_valid == 2
+    assert p632_from_replicates(0.8, reps).theta_out == 0.7
+
+
 def test_no_valid_replicates_is_fatal():
-    empty = ReplicateSet(np.array([np.nan]), np.array([np.nan]),
-                         np.array([np.nan]), np.array([False]),
-                         np.array([False]))
+    empty = reps_of([np.nan], [np.nan], [np.nan])
     with pytest.raises(OptimismError):
         harrell_from_replicates(0.8, empty)
     with pytest.raises(OptimismError):

@@ -19,6 +19,8 @@ from oracles import percentile_oracle
 def test_plan_validation():
     with pytest.raises(ResamplingError):
         ResamplePlan(0, 1)
+    with pytest.raises(ResamplingError, match="seed must be >= 0"):
+        ResamplePlan(10, -1)
 
 
 def test_draw_n_equals_one():
@@ -157,12 +159,11 @@ def test_percentile_interval_uses_only_valid_replicates():
     mask = np.array([True, True, True, False])
     want = percentile_interval(values[:3], 0.5)
     assert want[1] < 1.0
-    reps = ReplicateSet(values, values, np.full(4, np.nan), mask,
-                        np.zeros(4, dtype=bool))
+    marked = np.where(mask, values, np.nan)  # NaN marks an invalid value
+    reps = ReplicateSet(marked, marked, np.full(4, np.nan))
     app = apparent_bootstrap_ci(0.2, reps, 0.5)
     assert (app.lower, app.upper) == want
-    outer = np.where(mask, values, np.nan)
-    two = two_stage_ci(OptimismResult(HARRELL, 0.75, 0.5, 0.25), outer, 5,
+    two = two_stage_ci(OptimismResult(HARRELL, 0.75, 0.5, 0.25), marked, 5,
                        0.5)
     assert (two.lower, two.upper) == want and two.n_valid == 3
 
