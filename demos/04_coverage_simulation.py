@@ -15,7 +15,7 @@ from bootval.simulation import (GeneratorConfig, ScenarioSpec,
 
 
 def main():
-    spec = ScenarioSpec.by_id(1)
+    spec = ScenarioSpec(1)
     print(f"scenario {spec.id}: EPV={spec.epv}, event rate="
           f"{spec.event_rate}, p={spec.p}, n={spec.n}")
 

@@ -269,7 +269,7 @@ def setup(spec: ScenarioSpec):
 def check_setups() -> list[str]:
     lines = []
     for scenario in SCENARIOS:
-        spec = ScenarioSpec.by_id(scenario)
+        spec = ScenarioSpec(scenario)
         chol, beta0, auc = setup(spec)
         with scipy_path():
             want_chol, want_beta0, want_auc = setup(spec)

@@ -9,7 +9,7 @@ verbatim in tests/oracles.py. Cohorts come from the simulation's generator
 at the shapes of scenarios 1, 5, 17 and 21 (8 or 17 predictors, 640 to
 5,440 rows, event fraction 0.125), two cohorts each, and from small
 subsets of them with one or two events, whose resamples are redrawn. Blocks
-of 1 to 100 replicates are drawn as optimism._CountsBlockTask draws them,
+of 1 to 100 replicates are drawn as optimism._counts_block draws them,
 from the dataset's patterns and, as a two-stage outer replicate draws its
 inner blocks, from patterns restricted to an outer resample. Four
 comparisons:
@@ -177,7 +177,7 @@ def main() -> int:
     config = GeneratorConfig.default()
     gen = CovariateGenerator(config)
     for scenario in SCENARIOS:
-        spec = ScenarioSpec.by_id(scenario)
+        spec = ScenarioSpec(scenario)
         start = time.perf_counter()
         before = dict(totals)
         for seed in COHORT_SEEDS:

@@ -108,7 +108,7 @@ def check_random() -> dict[str, int]:
 
 
 def check_estimand(scenario: int, seed: int) -> tuple[float, float]:
-    spec = ScenarioSpec.by_id(scenario)
+    spec = ScenarioSpec(scenario)
     config = GeneratorConfig.default()
     gen = CovariateGenerator(config)
     slopes = config.coefficients[(spec.p, spec.coefficient_type)]

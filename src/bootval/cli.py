@@ -221,14 +221,13 @@ def validate_command(args) -> dict:
 def simulate_command(args) -> tuple[str, str]:
     _check_common(args)
     methods = _parse_list(args.methods, "CI method")
-    if args.replications < 1:
-        raise ConfigError("replications must be >= 1")
+    scenarios = _parse_list(args.scenarios, "scenario")
     try:
-        ids = [int(s) for s in args.scenarios.split(",") if s.strip()]
+        ids = [int(s) for s in scenarios]
     except ValueError:
         raise ConfigError(f"scenario ids must be integers, got "
                           f"{args.scenarios!r}") from None
-    specs = [ScenarioSpec.by_id(i) for i in ids]
+    specs = [ScenarioSpec(i) for i in ids]
     config = (GeneratorConfig.from_file(args.generator_params)
               if args.generator_params else GeneratorConfig.default())
 

@@ -86,13 +86,14 @@ def class_counts(d: Dataset) -> tuple[int, int]:
 
 
 def load_csv(path, outcome_column: str) -> Dataset:
-    """Load a comma-delimited, UTF-8, headered file into a Dataset.
+    """Load a comma-delimited, UTF-8, headered file into a Dataset (a
+    leading byte-order mark is skipped).
 
     All non-outcome columns become predictors in file order. Cells must be
     decimal reals; the outcome column must contain only 0 and 1.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc

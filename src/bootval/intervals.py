@@ -13,6 +13,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtri
@@ -146,49 +147,34 @@ def _bootstrap(d: Dataset, recipe: FitRecipe, measure: str,
         oob=oob)
 
 
-class _TwoStageOuterTask:
-    """Outer replicate task: treat the resample as a derivation dataset, run
-    the shared bootstrap on it with an inner plan keyed to the outer
-    replicate index, and return each correction's value, NaN where it is
-    undefined. The inner bootstrap restricts d's kernel patterns, if any,
-    to the resample, and grades out-of-bag sets only for a 0.632-family
-    correction."""
-
-    def __init__(self, d: Dataset, recipe: FitRecipe, measure: str,
-                 outer_plan: ResamplePlan, inner_B: int, corrections,
-                 patterns):
-        self.d = d
-        self.recipe = recipe
-        self.measure = measure
-        self.outer_plan = outer_plan
-        self.inner_B = inner_B
-        self.corrections = tuple(corrections)
-        self.patterns = patterns
-        self.oob = any(c in OOB_METHODS for c in self.corrections)
-
-    def __call__(self, b: int) -> list[float]:
-        d, plan = self.d, self.outer_plan
-        values = [np.nan] * len(self.corrections)
-        idx = two_class_draw(d, plan, b)
-        if idx is None:
-            return values
-        inner_plan = ResamplePlan(self.inner_B, plan.seed,
-                                  level=inner_level(b))
-        patterns = (None if self.patterns is None
-                    else self.patterns.restrict(idx))
-        try:
-            _, apparent, reps = _bootstrap(
-                d.subset(idx), self.recipe, self.measure, inner_plan,
-                patterns=patterns, oob=self.oob)
-        except (DataError, FitError, MetricError):
-            return values
-        for i, correction in enumerate(self.corrections):
-            try:
-                values[i] = correct(correction, self.measure, apparent,
-                                    reps).corrected
-            except OptimismError:
-                pass
+def _two_stage_outer(d: Dataset, recipe: FitRecipe, measure: str,
+                     outer_plan: ResamplePlan, inner_B: int, corrections,
+                     patterns, b: int) -> list[float]:
+    """Outer replicate b: treat the resample as a derivation dataset, run
+    the shared bootstrap on it with an inner plan keyed to b, and return
+    each correction's value, NaN where it is undefined. The inner bootstrap
+    restricts d's kernel patterns, if any, to the resample, and grades
+    out-of-bag sets only for a 0.632-family correction."""
+    values = [np.nan] * len(corrections)
+    idx = two_class_draw(d, outer_plan, b)
+    if idx is None:
         return values
+    inner_plan = ResamplePlan(inner_B, outer_plan.seed, level=inner_level(b))
+    if patterns is not None:
+        patterns = patterns.restrict(idx)
+    try:
+        _, apparent, reps = _bootstrap(
+            d.subset(idx), recipe, measure, inner_plan, patterns=patterns,
+            oob=any(c in OOB_METHODS for c in corrections))
+    except (DataError, FitError, MetricError):
+        return values
+    for i, correction in enumerate(corrections):
+        try:
+            values[i] = correct(correction, measure, apparent,
+                                reps).corrected
+        except OptimismError:
+            pass
+    return values
 
 
 @dataclass(frozen=True)
@@ -226,8 +212,8 @@ def validate(d: Dataset, recipe: FitRecipe, measure: str, plan: ResamplePlan,
     results = {c: correct(c, measure, apparent, reps) for c in
                dict.fromkeys([*corrections, *(c for _, c in parsed if c)])}
     if two_stage:
-        task = _TwoStageOuterTask(d, recipe, measure, plan, inner_B,
-                                  two_stage, patterns)
+        task = partial(_two_stage_outer, d, recipe, measure, plan, inner_B,
+                       two_stage, patterns)
         outer = dict(zip(two_stage,
                          map_indices(plan.B, task, workers=workers).T))
     intervals = []

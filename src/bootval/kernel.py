@@ -8,7 +8,7 @@ distinct risk scores. Both are computed here for a block of replicates at
 once: the Newton-Raphson iterations of a block run in lockstep, and each
 replicate keeps the step-halving and stopping rule of models._newton_irls.
 
-optimism._CountsBlockTask feeds the kernel one block at a time. It draws
+optimism._counts_block feeds the kernel one block at a time. It draws
 the block's resamples with resampling.draw_block and redraws, one by one,
 only those without both outcome classes. It counts the out-of-bag rows and
 grades them only when a 0.632-family correction will read them (always at

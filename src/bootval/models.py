@@ -14,6 +14,7 @@ than aborting, so bootstrap replicates never fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import expit
@@ -137,19 +138,29 @@ def fit_ml(d: Dataset) -> FittedModel:
                        penalty=0.0, converged=converged, iterations=it)
 
 
-def _standardize(x):
+def _standardize(d: Dataset):
+    """d's predictors centred and scaled by their standard deviations (1
+    for a constant column), with the means and scales. A column whose
+    standard deviation is not finite is a FitError: it would be all zeros
+    after scaling, and its slope 0."""
+    x = d.predictors
     mu = x.mean(axis=0)
     sd = x.std(axis=0)
+    if not np.isfinite(sd).all():
+        name = d.names[int(np.argmin(np.isfinite(sd)))]
+        raise FitError(f"predictor {name!r} is too large to standardize: "
+                       f"its standard deviation is not finite")
     sd = np.where(sd > 0, sd, 1.0)
     return (x - mu) / sd, mu, sd
 
 
 def lasso_lambda_max(d: Dataset) -> float:
     """Smallest lambda at which every lasso slope is exactly zero
-    (KKT bound at the intercept-only fit, standardized predictors)."""
-    xs, _, _ = _standardize(d.predictors)
+    (KKT bound at the intercept-only fit, standardized predictors); 0
+    without predictors."""
+    xs, _, _ = _standardize(d)
     ybar = d.outcomes.mean()
-    return float(np.max(np.abs(xs.T @ (d.outcomes - ybar))))
+    return float(np.max(np.abs(xs.T @ (d.outcomes - ybar)), initial=0.0))
 
 
 def _python_floats(values: np.ndarray) -> list:
@@ -260,8 +271,8 @@ def fit_penalized(d: Dataset, recipe: FitRecipe,
     if fold_rng is None:
         raise FitError("CV-selected penalty requires a fold rng")
     grid = lambda_grid(d, recipe)
-    task = _FoldPathTask(d, recipe, grid,
-                         _fold_assignment(d.n, CV_FOLDS, fold_rng))
+    task = partial(_fold_deviances, d, recipe, grid,
+                   _fold_assignment(d.n, CV_FOLDS, fold_rng))
     cv_dev = np.zeros(grid.size)
     for row in map_records(CV_FOLDS, task, workers=workers):
         if row is not None:
@@ -274,27 +285,19 @@ def fit_penalized(d: Dataset, recipe: FitRecipe,
     return model
 
 
-class _FoldPathTask:
-    """Picklable CV fold k: the held-out deviance of each lambda of the path
-    fitted on the other folds, or None when that training set cannot be
-    fitted (the fold then adds nothing)."""
-
-    def __init__(self, d: Dataset, recipe: FitRecipe, grid: np.ndarray,
-                 folds: np.ndarray):
-        self.d = d
-        self.recipe = recipe
-        self.grid = grid
-        self.folds = folds
-
-    def __call__(self, k: int) -> np.ndarray | None:
-        train = self.d.subset(np.flatnonzero(self.folds != k))
-        test = self.d.subset(np.flatnonzero(self.folds == k))
-        try:
-            train.check_fittable()
-        except DataError:
-            return None
-        return np.array([_deviance(model, test) for model in
-                         _fit_path(train, self.recipe, self.grid)])
+def _fold_deviances(d: Dataset, recipe: FitRecipe, grid: np.ndarray,
+                    folds: np.ndarray, k: int) -> np.ndarray | None:
+    """CV fold k: the held-out deviance of each lambda of the path fitted
+    on the other folds, or None when that training set cannot be fitted
+    (the fold then adds nothing)."""
+    train = d.subset(np.flatnonzero(folds != k))
+    test = d.subset(np.flatnonzero(folds == k))
+    try:
+        train.check_fittable()
+    except DataError:
+        return None
+    return np.array([_deviance(model, test) for model in
+                     _fit_path(train, recipe, grid)])
 
 
 def _fold_assignment(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -308,7 +311,7 @@ def _fit_path(d: Dataset, recipe: FitRecipe, grid: np.ndarray):
     """Fit along a descending lambda grid with warm starts. A column that
     takes one value gets slope 0: coordinate descent would divide 0 by 0
     on it. The design stays in C order, which pins the descent's bits."""
-    xs, mu, sd = _standardize(d.predictors)
+    xs, mu, sd = _standardize(d)
     live = np.ptp(d.predictors, axis=0) > 0
     xs = np.ascontiguousarray(xs[:, live])
     ybar = float(d.outcomes.mean())

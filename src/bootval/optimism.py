@@ -10,6 +10,7 @@ any penalty tuning, on the resample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -89,44 +90,33 @@ def two_class_block(d: Dataset, plan: ResamplePlan, rs: range):
     return idx, ok
 
 
-class _ReplicateTask:
-    """Picklable per-replicate evaluation for the bootstrap engine: the row
-    [theta_boot, theta_orig, theta_out] of replicate r."""
-
-    def __init__(self, d: Dataset, recipe: FitRecipe, measure: str,
-                 plan: ResamplePlan, oob: bool = True):
-        self.d = d
-        self.recipe = recipe
-        self.measure = measure
-        self.plan = plan
-        self.oob = oob
-
-    def __call__(self, r: int) -> list[float]:
-        d, plan = self.d, self.plan
-        row = [np.nan] * 3
-        idx = two_class_draw(d, plan, r)
-        if idx is None:
-            return row
-        boot_d = d.subset(idx)
-        try:
-            model = fit(boot_d, self.recipe, fold_rng=plan.cv_rng(r))
-            row[:2] = (measure_value(self.measure, predict(model, boot_d),
-                                     boot_d.outcomes),
-                       measure_value(self.measure, predict(model, d),
-                                     d.outcomes))
-        except (DataError, FitError, MetricError):
-            return row
-        if not self.oob:
-            return row
-        out_of_bag = np.flatnonzero(np.bincount(idx, minlength=d.n) == 0)
-        if 0.0 < d.outcomes[out_of_bag].sum() < out_of_bag.size:  # 2 classes
-            oob_d = d.subset(out_of_bag)
-            try:
-                row[2] = measure_value(self.measure, predict(model, oob_d),
-                                       oob_d.outcomes)
-            except (DataError, MetricError):
-                pass
+def _replicate_row(d: Dataset, recipe: FitRecipe, measure: str,
+                   plan: ResamplePlan, oob: bool, r: int) -> list[float]:
+    """Replicate r's row [theta_boot, theta_orig, theta_out] on the
+    per-replicate path; evaluate_replicates maps it over the plan."""
+    row = [np.nan] * 3
+    idx = two_class_draw(d, plan, r)
+    if idx is None:
         return row
+    boot_d = d.subset(idx)
+    try:
+        model = fit(boot_d, recipe, fold_rng=plan.cv_rng(r))
+        row[:2] = (measure_value(measure, predict(model, boot_d),
+                                 boot_d.outcomes),
+                   measure_value(measure, predict(model, d), d.outcomes))
+    except (DataError, FitError, MetricError):
+        return row
+    if not oob:
+        return row
+    out_of_bag = np.flatnonzero(np.bincount(idx, minlength=d.n) == 0)
+    if 0.0 < d.outcomes[out_of_bag].sum() < out_of_bag.size:  # 2 classes
+        oob_d = d.subset(out_of_bag)
+        try:
+            row[2] = measure_value(measure, predict(model, oob_d),
+                                   oob_d.outcomes)
+        except (DataError, MetricError):
+            pass
+    return row
 
 
 #: replicates per lockstep block of the count kernel; fixed, so that a
@@ -134,36 +124,26 @@ class _ReplicateTask:
 BLOCK = 100
 
 
-class _CountsBlockTask:
-    """Picklable evaluation of one block of replicates with the
-    frequency-weight kernel (ML fits, C-statistic) on d's patterns: a
-    (len(block), 3) array of _ReplicateTask's rows, whose out-of-bag
-    column is NaN unless oob is set (see kernel.py)."""
-
-    def __init__(self, d: Dataset, plan: ResamplePlan, patterns: Patterns,
-                 oob: bool):
-        self.d = d
-        self.plan = plan
-        self.patterns = patterns
-        self.oob = oob
-        self.orig_counts = patterns.counts(np.arange(d.n))
-
-    def __call__(self, block: int) -> np.ndarray:
-        d, plan, pat = self.d, self.plan, self.patterns
-        rs = range(block * BLOCK, min(plan.B, (block + 1) * BLOCK))
-        idx, ok = two_class_block(d, plan, rs)
-        rows = np.full((len(rs), 3), np.nan)
-        if not ok.any():
-            return rows
-        idx = idx[ok]
-        events, trials = pat.counts(idx)
-        beta = fit_ml_counts(pat, events, trials, MAX_ITER, TOL)
-        samples = [(events, trials), self.orig_counts]
-        if self.oob:
-            samples.append(pat.counts_outside(idx))
-        thetas = c_statistics(risk_scores(pat, beta), samples)
-        rows[ok, :len(thetas)] = np.transpose(thetas)
+def _counts_block(d: Dataset, plan: ResamplePlan, patterns: Patterns,
+                  orig_counts, oob: bool, block: int) -> np.ndarray:
+    """One block of replicates on the frequency-weight kernel (ML fits,
+    C-statistic) over d's patterns, whose counts of d itself are
+    orig_counts: a (len(block), 3) array of _replicate_row's rows, whose
+    out-of-bag column is NaN unless oob is set (see kernel.py)."""
+    rs = range(block * BLOCK, min(plan.B, (block + 1) * BLOCK))
+    idx, ok = two_class_block(d, plan, rs)
+    rows = np.full((len(rs), 3), np.nan)
+    if not ok.any():
         return rows
+    idx = idx[ok]
+    events, trials = patterns.counts(idx)
+    beta = fit_ml_counts(patterns, events, trials, MAX_ITER, TOL)
+    samples = [(events, trials), orig_counts]
+    if oob:
+        samples.append(patterns.counts_outside(idx))
+    thetas = c_statistics(risk_scores(patterns, beta), samples)
+    rows[ok, :len(thetas)] = np.transpose(thetas)
+    return rows
 
 
 def kernel_patterns(d: Dataset, recipe: FitRecipe,
@@ -188,10 +168,11 @@ def evaluate_replicates(d: Dataset, recipe: FitRecipe, measure: str,
     if patterns is None:
         patterns = kernel_patterns(d, recipe, measure)
     if patterns is not None:
-        task = _CountsBlockTask(d, plan, patterns, oob)
+        task = partial(_counts_block, d, plan, patterns,
+                       patterns.counts(np.arange(d.n)), oob)
         n_tasks = -(-plan.B // BLOCK)
     else:
-        task = _ReplicateTask(d, recipe, measure, plan, oob)
+        task = partial(_replicate_row, d, recipe, measure, plan, oob)
         n_tasks = plan.B
     rows = np.vstack(map_records(n_tasks, task, workers=workers))
     return ReplicateSet(*rows.T)

@@ -21,6 +21,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -31,7 +32,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .data import Dataset, DataError
-from .intervals import IntervalError, parse_method, validate
+from .intervals import TWO_STAGE, IntervalError, parse_method, validate
 from .metrics import C_STATISTIC, MetricError, c_statistic_value
 from .models import FitError, FitRecipe, logistic
 from .optimism import OptimismError
@@ -71,32 +72,33 @@ def derive_n(p: int, epv: int, event_rate: float) -> int:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """One row of SCENARIO_TABLE, by its id."""
+
     id: int
-    epv: int
-    event_rate: float
-    p: int
-    coefficient_type: int
 
     def __post_init__(self):
-        expected = SCENARIO_TABLE.get(self.id)
-        if expected != (self.epv, self.event_rate, self.p,
-                        self.coefficient_type):
-            raise SimulationError(
-                f"scenario {self.id} parameters {expected} do not match "
-                f"({self.epv}, {self.event_rate}, {self.p}, "
-                f"{self.coefficient_type})")
+        if self.id not in SCENARIO_TABLE:
+            raise SimulationError(f"no scenario {self.id}")
+
+    @property
+    def epv(self) -> int:
+        return SCENARIO_TABLE[self.id][0]
+
+    @property
+    def event_rate(self) -> float:
+        return SCENARIO_TABLE[self.id][1]
+
+    @property
+    def p(self) -> int:
+        return SCENARIO_TABLE[self.id][2]
+
+    @property
+    def coefficient_type(self) -> int:
+        return SCENARIO_TABLE[self.id][3]
 
     @property
     def n(self) -> int:
         return derive_n(self.p, self.epv, self.event_rate)
-
-    @classmethod
-    def by_id(cls, scenario_id: int) -> "ScenarioSpec":
-        try:
-            epv, rate, p, ctype = SCENARIO_TABLE[scenario_id]
-        except KeyError:
-            raise SimulationError(f"no scenario {scenario_id}") from None
-        return cls(scenario_id, epv, rate, p, ctype)
 
 
 # Predictor column order; the 8-predictor scenarios use the first 8 columns.
@@ -531,11 +533,10 @@ class CovariateGenerator:
 
 @dataclass(frozen=True)
 class TrueModel:
-    """The data-generating logistic model and its estimand."""
+    """The data-generating logistic model."""
 
     beta0: float
     slopes: np.ndarray
-    true_auc: float = float("nan")
 
 
 def _subseed(seed: int, *path: int) -> int:
@@ -649,47 +650,31 @@ class CoverageResult:
             raise SimulationError("coverage must lie in [0, 1]")
 
 
-class _ReplicationTask:
-    """One simulation replication: generate a cohort, compute every
-    requested interval, report (covered, width) per method. Each finished
-    replication prints one progress line to stderr."""
-
-    def __init__(self, gen, model, spec: ScenarioSpec, methods, B, inner_B,
-                 alpha, seed, replications):
-        self.gen = gen
-        self.model = model
-        self.spec = spec
-        self.methods = tuple(methods)
-        self.B = B
-        self.inner_B = inner_B
-        self.alpha = alpha
-        self.seed = seed
-        self.replications = replications
-
-    def __call__(self, i: int):
-        start = time.monotonic()
-        record = self._replicate(i)
-        status = "done" if record is not None else "failed"
-        # one write per line, so that lines from pool workers never merge
-        sys.stderr.write(f"[bootval] scenario {self.spec.id}: replication "
-                         f"{i + 1}/{self.replications} {status} in "
-                         f"{time.monotonic() - start:.1f}s\n")
-        return record
-
-    def _replicate(self, i: int):
-        spec = self.spec
-        rep_seed = _subseed(self.seed, 3, spec.id, i)
-        d = generate_cohort(self.gen, self.model, spec.p, spec.n, rep_seed)
-        plan = ResamplePlan(self.B, rep_seed)
-        try:
-            result = validate(d, FitRecipe("ml"), C_STATISTIC, plan,
-                              methods=self.methods, inner_B=self.inner_B,
-                              alpha=self.alpha)
-        except (DataError, FitError, MetricError, ResamplingError,
-                OptimismError, IntervalError):
-            return None  # replication-level failure, recorded not fatal
-        return {method: (est.contains(self.model.true_auc), est.width)
-                for method, est in zip(self.methods, result.intervals)}
+def _replication(gen, model: TrueModel, true_auc: float, spec: ScenarioSpec,
+                 methods, B: int, inner_B: int, alpha: float, seed: int,
+                 replications: int, i: int):
+    """Replication i: generate a cohort, compute every requested interval,
+    report (covered, width) per method, or None if the replication failed.
+    Each finished replication prints one progress line to stderr."""
+    start = time.monotonic()
+    rep_seed = _subseed(seed, 3, spec.id, i)
+    d = generate_cohort(gen, model, spec.p, spec.n, rep_seed)
+    plan = ResamplePlan(B, rep_seed)
+    try:
+        result = validate(d, FitRecipe("ml"), C_STATISTIC, plan,
+                          methods=methods, inner_B=inner_B, alpha=alpha)
+    except (DataError, FitError, MetricError, ResamplingError,
+            OptimismError, IntervalError):
+        record = None  # replication-level failure, recorded not fatal
+    else:
+        record = {method: (est.contains(true_auc), est.width)
+                  for method, est in zip(methods, result.intervals)}
+    status = "done" if record is not None else "failed"
+    # one write per line, so that lines from pool workers never merge
+    sys.stderr.write(f"[bootval] scenario {spec.id}: replication "
+                     f"{i + 1}/{replications} {status} in "
+                     f"{time.monotonic() - start:.1f}s\n")
+    return record
 
 
 def run_scenario(spec: ScenarioSpec, methods, replications: int, B: int,
@@ -697,9 +682,18 @@ def run_scenario(spec: ScenarioSpec, methods, replications: int, B: int,
                  workers: int = 1, config: GeneratorConfig | None = None,
                  calibration_n: int = 1_000_000,
                  estimand_n: int = 500_000) -> list[CoverageResult]:
-    """Run one scenario end to end and aggregate coverage per method."""
-    for method in methods:
-        parse_method(method)
+    """Run one scenario end to end and aggregate coverage per method. The
+    arguments are checked before any set-up, so that a bad one raises
+    instead of failing every replication."""
+    kinds = [parse_method(method)[0] for method in methods]
+    if TWO_STAGE in kinds and (inner_B is None or inner_B < 1):
+        raise IntervalError("inner_B must be >= 1")
+    if not 0.0 < alpha < 1.0:
+        raise SimulationError("alpha must be in (0, 1)")
+    if seed < 0:
+        raise SimulationError("seed must be >= 0")
+    if replications < 1:
+        raise SimulationError("replications must be >= 1")
     config = config or GeneratorConfig.default()
     gen = CovariateGenerator(config)
     slopes = config.coefficients[(spec.p, spec.coefficient_type)]
@@ -709,10 +703,9 @@ def run_scenario(spec: ScenarioSpec, methods, replications: int, B: int,
     model = TrueModel(beta0, slopes)
     true_auc = estimate_true_auc(gen, model, spec.p, estimand_n,
                                  seed=_subseed(seed, 2, spec.id))
-    model = TrueModel(beta0, slopes, true_auc)
 
-    task = _ReplicationTask(gen, model, spec, methods, B, inner_B, alpha,
-                            seed, replications)
+    task = partial(_replication, gen, model, true_auc, spec, methods, B,
+                   inner_B, alpha, seed, replications)
     records = map_records(replications, task, workers=workers)
     results = []
     for method in methods:

@@ -270,7 +270,7 @@ def log_likelihood_gradient(beta: np.ndarray, d: Dataset) -> np.ndarray:
 def penalized_objective(model: FittedModel, d: Dataset) -> float:
     """-loglik + lambda * penalty(slopes), on the standardized scale the
     solver works in (so grid-perturbation probes are meaningful)."""
-    xs, mu, sd = _standardize(d.predictors)
+    xs, mu, sd = _standardize(d)
     b = model.slopes * sd
     a0 = model.intercept + float(model.slopes @ mu)
     eta = a0 + xs @ b

@@ -276,6 +276,10 @@ def test_user_input_errors_exit_with_status_2(tmp_path, capsys):
     cases = [
         (["simulate", "--scenarios", "1,x", "--output-prefix", prefix],
          "scenario ids must be integers, got '1,x'"),
+        (["simulate", "--scenarios", "", "--output-prefix", prefix],
+         "no scenario requested"),
+        (["simulate", "--scenarios", " , ", "--output-prefix", prefix],
+         "no scenario requested"),
         (["validate", "--input", str(latin1), "--outcome-column", "y"],
          "not UTF-8 text"),
         (["simulate", "--generator-params", str(table),
@@ -326,6 +330,37 @@ def test_validate_rejects_a_fit_with_non_finite_coefficients(tmp_path,
     assert ("ml fit has non-finite coefficients"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("estimator", [["ridge", "--penalty", "1"],
+                                       ["lasso"]], ids=["ridge", "lasso"])
+def test_validate_rejects_a_predictor_too_large_to_standardize(
+        tmp_path, capsys, estimator):
+    # the standard deviation of a predictor scaled by 1e200 overflows, so
+    # the standardized column would be all zeros and its slope 0
+    d = make_dataset(93, n=60, p=2)
+    x = d.predictors.copy()
+    x[:, 1] *= 1e200
+    path = tmp_path / "huge.csv"
+    save_csv(Dataset(d.outcomes, x), path)
+    out = tmp_path / "report.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_validate(str(path), out, "--estimator", *estimator) == 2
+    assert ("predictor 'x2' is too large to standardize"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("estimator", ["ridge", "lasso"])
+def test_validate_selects_a_penalty_without_predictors(tmp_path, estimator):
+    # the lambda grid starts at the largest slope score, which has to be
+    # defined when there is no slope: the fit is then intercept-only
+    path = tmp_path / "intercept.csv"
+    path.write_text("y\n" + "".join(f"{i % 2}\n" for i in range(30)))
+    out = tmp_path / "report.json"
+    assert run_validate(str(path), out, "--estimator", estimator, "--B", "4",
+                        "--ci-methods", "apparent") == 0
+    assert json.loads(out.read_text())["dataset"]["p"] == 0
 
 
 def test_validate_checks_the_output_before_compute(csv_path, tmp_path,

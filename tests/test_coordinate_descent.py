@@ -2,12 +2,14 @@
 reference: the same bits, whatever the interpreter-level rewrite or the
 worker count."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from bootval.data import Dataset
 from bootval.models import (CV_FOLDS, FitRecipe, _cd_penalized,
-                            _FoldPathTask, _fold_assignment, _standardize,
+                            _fold_assignment, _fold_deviances, _standardize,
                             _sum_log1pexp, fit_penalized, lambda_grid,
                             lasso_lambda_max, logistic)
 from bootval.resampling import stream
@@ -68,7 +70,7 @@ def reference_cd_penalized(y, xs, kind, lam, a0, b, max_iter, tol):
 
 def _both(d, kind, lam, b0=None, max_iter=100):
     """(reference result, new result) from the same standardized start."""
-    xs, _, _ = _standardize(d.predictors)
+    xs, _, _ = _standardize(d)
     ybar = float(d.outcomes.mean())
     a0 = float(np.log(ybar / (1.0 - ybar)))
     b0 = np.zeros(d.p) if b0 is None else np.asarray(b0, dtype=float)
@@ -104,7 +106,7 @@ def test_cd_matches_reference_from_warm_start(kind, scale):
 
 def test_cd_matches_reference_along_a_warm_started_path():
     d = make_dataset(6, n=100, p=6)
-    xs, _, _ = _standardize(d.predictors)
+    xs, _, _ = _standardize(d)
     grid = lambda_grid(d, FitRecipe("lasso", n_lambdas=15))
     starts = [(0.0, np.zeros(d.p)), (0.0, np.zeros(d.p))]
     for lam in grid:
@@ -164,7 +166,7 @@ def test_single_class_fold_is_skipped():
     recipe = FitRecipe("ridge", n_lambdas=10)
     grid = lambda_grid(d, recipe)
     folds = _fold_assignment(d.n, CV_FOLDS, stream(2, 0))
-    task = _FoldPathTask(d, recipe, grid, folds)
+    task = partial(_fold_deviances, d, recipe, grid, folds)
     rows = [task(k) for k in range(CV_FOLDS)]
     assert [k for k, row in enumerate(rows) if row is None] == [folds[7]]
     cv_dev = np.zeros(grid.size)

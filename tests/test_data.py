@@ -91,6 +91,16 @@ def test_load_csv_outcome_column_anywhere(tmp_path):
     assert np.array_equal(d.predictors, [[1.0, 2.0], [3.0, 4.0]])
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    # spreadsheet programs save UTF-8 with one; it is not part of the
+    # first column's name
+    path = tmp_path / "d.csv"
+    path.write_bytes("\ufeffy,x1\n1,0.5\n0,2\n".encode("utf-8"))
+    d = load_csv(path, "y")
+    assert d.names == ("x1",)
+    assert np.array_equal(d.outcomes, [1.0, 0.0])
+
+
 def test_load_csv_bad_outcome_reports_row(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("y,x\n1,0.5\n2,0.5\n")

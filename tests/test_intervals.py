@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -5,7 +7,7 @@ from scipy.special import ndtri
 from bootval import intervals
 from bootval.intervals import (APPARENT, DELONG, IntervalError,
                                IntervalEstimate, LOCATION_SHIFTED, TWO_STAGE,
-                               _TwoStageOuterTask, apparent_bootstrap_ci,
+                               _two_stage_outer, apparent_bootstrap_ci,
                                delong_interval, location_shifted_ci,
                                parse_method, two_stage_ci, validate)
 from bootval.metrics import (C_STATISTIC, CALIBRATION_SLOPE, delong_variance,
@@ -234,9 +236,9 @@ def test_two_stage_outer_task_catches_only_library_errors(monkeypatch, name,
                                                           error):
     # The library's error makes the outer value undefined (NaN); a
     # LinAlgError (a ValueError) is a fault and propagates.
-    task = _TwoStageOuterTask(make_dataset(85, n=50, p=2), FitRecipe("ml"),
-                              C_STATISTIC, ResamplePlan(4, 31), 8, METHODS,
-                              None)
+    task = partial(_two_stage_outer, make_dataset(85, n=50, p=2),
+                   FitRecipe("ml"), C_STATISTIC, ResamplePlan(4, 31), 8,
+                   METHODS, None)
     monkeypatch.setattr(intervals, name, raising(error))
     assert np.isnan(task(0)).all()
     monkeypatch.setattr(intervals, name, raising(np.linalg.LinAlgError))

@@ -1,4 +1,5 @@
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from bootval.kernel import (Patterns, _log_likelihood, c_statistics,
 from bootval.metrics import C_STATISTIC, c_statistic_value
 from bootval.models import (MAX_ITER, TOL, FitRecipe, fit_ml, logistic,
                             predict)
-from bootval.optimism import (_ReplicateTask, evaluate_replicates,
+from bootval.optimism import (_replicate_row, evaluate_replicates,
                               two_class_block)
 from bootval.resampling import ResamplePlan
 from bootval.simulation import (CovariateGenerator, GeneratorConfig,
@@ -114,7 +115,7 @@ def test_fit_ml_counts_matches_fit_on_resample():
 def _assert_equals_per_replicate_path(d, plan):
     recipe = FitRecipe("ml")
     fast = evaluate_replicates(d, recipe, C_STATISTIC, plan)
-    task = _ReplicateTask(d, recipe, C_STATISTIC, plan)
+    task = partial(_replicate_row, d, recipe, C_STATISTIC, plan, True)
     slow = np.array([task(r) for r in range(plan.B)])
     for col, field in enumerate(("theta_boot", "theta_orig", "theta_out")):
         assert np.array_equal(getattr(fast, field), slow[:, col],

@@ -167,7 +167,7 @@ def test_fixed_penalty_fit_is_descent_on_the_standardized_design(kind):
     # layout, so the fit must hand it the C-ordered standardized design
     for seed in range(4):
         d = make_dataset(60 + seed, n=150, p=5)
-        xs, mu, sd = _standardize(d.predictors)
+        xs, mu, sd = _standardize(d)
         ybar = d.outcomes.mean()
         a0, b, _, _ = _cd_penalized(d.outcomes, xs, kind, 0.3,
                                     float(np.log(ybar / (1.0 - ybar))),

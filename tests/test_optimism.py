@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from bootval.metrics import CALIBRATION_SLOPE, C_STATISTIC, no_information
 from bootval.models import FitRecipe, predict
 from bootval.intervals import validate
 from bootval.optimism import (HARRELL, P632, P632PLUS, OptimismError,
-                              OptimismResult, ReplicateSet, _ReplicateTask,
+                              OptimismResult, ReplicateSet, _replicate_row,
                               apparent_fit, correct, evaluate_replicates,
                               harrell_from_replicates, p632_from_replicates,
                               p632plus_from_replicates, two_class_draw)
@@ -173,8 +175,8 @@ def test_replicate_task_out_of_bag_partitions_index_set(monkeypatch):
 
     monkeypatch.setattr(Dataset, "subset", recording)
     for oob in (True, False):
-        task = _ReplicateTask(d, FitRecipe("ml"), CALIBRATION_SLOPE, plan,
-                              oob)
+        task = partial(_replicate_row, d, FitRecipe("ml"), CALIBRATION_SLOPE,
+                       plan, oob)
         for r in range(plan.B):
             subsets.clear()
             theta_boot, theta_orig, theta_out = task(r)
@@ -194,8 +196,8 @@ def test_replicate_task_lets_a_numpy_error_propagate(monkeypatch):
     # Only the library's own errors make a replicate invalid. A LinAlgError
     # (a ValueError) in the fits or in the out-of-bag grade is a fault.
     d = make_dataset(17, n=200, p=2)
-    task = _ReplicateTask(d, FitRecipe("ml"), CALIBRATION_SLOPE,
-                          ResamplePlan(4, 9))
+    task = partial(_replicate_row, d, FitRecipe("ml"), CALIBRATION_SLOPE,
+                   ResamplePlan(4, 9), True)
 
     def failing_out_of_bag(model, data):
         if data.n < d.n:

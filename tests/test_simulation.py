@@ -26,7 +26,9 @@ from bootval.simulation import (BINARY_NAMES, BLOCK_ROWS, COLUMN_NAMES,
                                 true_risk_score)
 from bootval.metrics import c_statistic_value
 from bootval.models import logistic
-from bootval.resampling import stream
+from bootval.resampling import ResamplingError, stream
+
+from conftest import raising
 
 
 def test_derive_n_examples():
@@ -35,15 +37,13 @@ def test_derive_n_examples():
     assert derive_n(17, 40, 0.0625) == 10880
 
 
-def test_scenario_spec_by_id_and_validation():
-    s = ScenarioSpec.by_id(1)
+def test_scenario_spec_reads_the_table():
+    s = ScenarioSpec(1)
     assert (s.epv, s.event_rate, s.p, s.coefficient_type) == (10, 0.125, 8, 1)
     assert s.n == 640
-    assert ScenarioSpec.by_id(21).n == 5440
+    assert ScenarioSpec(21).n == 5440
     with pytest.raises(SimulationError):
-        ScenarioSpec.by_id(25)
-    with pytest.raises(SimulationError):
-        ScenarioSpec(1, 20, 0.125, 8, 1)  # wrong EPV for scenario 1
+        ScenarioSpec(25)
 
 
 def test_default_config_loads_and_is_consistent():
@@ -382,7 +382,7 @@ def test_run_scenario_propagates_errors_outside_the_library(monkeypatch,
         raise error
     monkeypatch.setattr(simulation, "validate", fail)
     with pytest.raises(type(error)):
-        run_scenario(ScenarioSpec.by_id(1), ["delong"], replications=2, B=5,
+        run_scenario(ScenarioSpec(1), ["delong"], replications=2, B=5,
                      inner_B=5, seed=1, calibration_n=20_000,
                      estimand_n=5_000)
 
@@ -391,10 +391,47 @@ def test_run_scenario_counts_library_errors_as_failures(monkeypatch):
     def fail(*args, **kwargs):
         raise IntervalError("all outer replicates invalid")
     monkeypatch.setattr(simulation, "validate", fail)
-    [result] = run_scenario(ScenarioSpec.by_id(1), ["delong"],
+    [result] = run_scenario(ScenarioSpec(1), ["delong"],
                             replications=2, B=5, inner_B=5, seed=1,
                             calibration_n=20_000, estimand_n=5_000)
     assert result.failures == 2 and result.replications == 0
+
+
+@pytest.mark.parametrize("change, error, message", [
+    ({"inner_B": 0}, IntervalError, "inner_B must be >= 1"),
+    ({"alpha": 1.5}, SimulationError, "alpha must be in"),
+    ({"seed": -1}, SimulationError, "seed must be >= 0"),
+    ({"replications": 0}, SimulationError, "replications must be >= 1"),
+], ids=["inner_B", "alpha", "seed", "replications"])
+def test_run_scenario_checks_its_arguments_before_set_up(monkeypatch, change,
+                                                         error, message):
+    # a bad argument raises before the generator is built, instead of
+    # failing every replication
+    monkeypatch.setattr(simulation, "CovariateGenerator",
+                        raising(AssertionError))
+    kwargs = {"replications": 2, "B": 5, "inner_B": 5, "seed": 1,
+              "alpha": 0.05, **change}
+    with pytest.raises(error, match=message):
+        run_scenario(ScenarioSpec(1), ["apparent", "two-stage:harrell"],
+                     **kwargs)
+
+
+def test_run_scenario_ignores_inner_B_without_a_two_stage_method(
+        monkeypatch):
+    monkeypatch.setattr(simulation, "CovariateGenerator",
+                        raising(AssertionError))
+    with pytest.raises(AssertionError):  # reached the set-up
+        run_scenario(ScenarioSpec(1), ["apparent"], replications=2, B=5,
+                     inner_B=0, seed=1)
+
+
+def test_run_scenario_lets_a_bad_B_propagate():
+    # ResamplePlan rejects B = 0 outside the replication's error catch, so
+    # it is not counted as a failed replication
+    with pytest.raises(ResamplingError, match="B must be"):
+        run_scenario(ScenarioSpec(1), ["apparent"], replications=2, B=0,
+                     inner_B=5, seed=1, calibration_n=20_000,
+                     estimand_n=5_000)
 
 
 def test_calibrate_intercept_closed_forms():
