@@ -14,10 +14,8 @@
 set -e
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
-# One BLAS thread per process: pool workers with their own BLAS threads
-# oversubscribe the cores (about 4x slower at scenario 21); output is
-# byte-identical either way.
-export OPENBLAS_NUM_THREADS=1
+# No OPENBLAS_NUM_THREADS: `simulate` pins each of its processes to one BLAS
+# thread itself.
 if [ $# -eq 0 ]; then
   set -- 1 5 17 21
 fi

@@ -64,8 +64,17 @@ def _interval_specs(ci_methods, corrections) -> list[str]:
                   key=lambda spec: CI_METHODS.index(parse_method(spec)[0]))
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose refusals end in the library's error line;
+    subcommand parsers are of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"bootval: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bootval",
         description="Internal validation of binary-outcome prediction "
                     "models with optimism-corrected bootstrap confidence "
@@ -136,6 +145,9 @@ def _check_common(args):
 
 def validate_command(args) -> dict:
     _check_common(args)
+    if args.penalty is not None and args.estimator == "ml":
+        raise ConfigError("--penalty applies to --estimator ridge or lasso "
+                          "only")
     corrections = _parse_list(args.corrections, "correction")
     for method in corrections:
         if method not in METHODS:

@@ -24,7 +24,7 @@ from .models import FitError, FitRecipe, predict
 from .optimism import (METHODS, OOB_METHODS, OptimismError, OptimismResult,
                        ReplicateSet, apparent_fit, correct,
                        evaluate_replicates, kernel_patterns, two_class_draw)
-from .resampling import (ResamplePlan, inner_level, map_indices,
+from .resampling import (ResamplePlan, WorkerPool, inner_level, map_indices,
                          percentile_interval)
 
 DELONG = "delong"
@@ -133,13 +133,13 @@ def two_stage_ci(result: OptimismResult, values: np.ndarray, inner_B: int,
 
 
 def _bootstrap(d: Dataset, recipe: FitRecipe, measure: str,
-               plan: ResamplePlan, workers: int = 1, patterns=None,
-               oob: bool = True):
+               plan: ResamplePlan, workers: int | WorkerPool = 1,
+               patterns=None, oob: bool = True):
     """The bootstrap every correction and interval shares: the apparent
     risk scores, the apparent value and the replicate set (see
     evaluate_replicates for patterns and oob). Only a top-level call passes
-    workers > 1: the replicates and outer tasks already run in pool
-    workers, and there the apparent fit's folds run inline."""
+    its pool: the replicates and outer tasks already run in pool workers,
+    and there the apparent fit's folds run inline."""
     scores = predict(apparent_fit(d, recipe, plan, workers), d)
     apparent = measure_value(measure, scores, d.outcomes)
     return scores, apparent, evaluate_replicates(
@@ -198,7 +198,8 @@ def validate(d: Dataset, recipe: FitRecipe, measure: str, plan: ResamplePlan,
     evaluated once. Every correction in `corrections`, and every one a
     method names, is derived from them. `methods` are `kind[:correction]`
     specs (see parse_method). All two-stage intervals share one outer map,
-    each outer replicate running the same bootstrap at inner_B."""
+    each outer replicate running the same bootstrap at inner_B. Every map
+    runs on one WorkerPool of `workers` processes."""
     parsed = [parse_method(m) for m in methods]
     if measure != C_STATISTIC and any(k == DELONG for k, _ in parsed):
         raise IntervalError("the DeLong interval applies to the c-statistic "
@@ -206,25 +207,27 @@ def validate(d: Dataset, recipe: FitRecipe, measure: str, plan: ResamplePlan,
     two_stage = list(dict.fromkeys(c for k, c in parsed if k == TWO_STAGE))
     if two_stage and (inner_B is None or inner_B < 1):
         raise IntervalError("inner_B must be >= 1")
-    patterns = kernel_patterns(d, recipe, measure)
-    scores, apparent, reps = _bootstrap(d, recipe, measure, plan, workers,
-                                        patterns)
-    results = {c: correct(c, measure, apparent, reps) for c in
-               dict.fromkeys([*corrections, *(c for _, c in parsed if c)])}
-    if two_stage:
-        task = partial(_two_stage_outer, d, recipe, measure, plan, inner_B,
-                       two_stage, patterns)
-        outer = dict(zip(two_stage,
-                         map_indices(plan.B, task, workers=workers).T))
-    intervals = []
-    for kind, c in parsed:
-        if kind == DELONG:
-            est = delong_interval(scores, d.outcomes, alpha)
-        elif kind == APPARENT:
-            est = apparent_bootstrap_ci(apparent, reps, alpha)
-        elif kind == LOCATION_SHIFTED:
-            est = location_shifted_ci(results[c], reps, alpha)
-        else:
-            est = two_stage_ci(results[c], outer[c], inner_B, alpha)
-        intervals.append(est)
-    return Validation(apparent, reps, results, intervals)
+    with WorkerPool(workers) as pool:
+        patterns = kernel_patterns(d, recipe, measure)
+        scores, apparent, reps = _bootstrap(d, recipe, measure, plan, pool,
+                                            patterns)
+        results = {c: correct(c, measure, apparent, reps) for c in
+                   dict.fromkeys([*corrections,
+                                  *(c for _, c in parsed if c)])}
+        if two_stage:
+            task = partial(_two_stage_outer, d, recipe, measure, plan,
+                           inner_B, two_stage, patterns)
+            outer = dict(zip(two_stage,
+                             map_indices(plan.B, task, workers=pool).T))
+        intervals = []
+        for kind, c in parsed:
+            if kind == DELONG:
+                est = delong_interval(scores, d.outcomes, alpha)
+            elif kind == APPARENT:
+                est = apparent_bootstrap_ci(apparent, reps, alpha)
+            elif kind == LOCATION_SHIFTED:
+                est = location_shifted_ci(results[c], reps, alpha)
+            else:
+                est = two_stage_ci(results[c], outer[c], inner_B, alpha)
+            intervals.append(est)
+        return Validation(apparent, reps, results, intervals)

@@ -80,8 +80,16 @@ class Patterns:
 
     @cached_property
     def _zz(self):
-        i, j = np.triu_indices(self.z.shape[1])
-        return np.ascontiguousarray(self.z[:, i] * self.z[:, j])
+        # z[:, i] * z[:, j] over np.triu_indices, one row of the triangle
+        # at a time, so no gathered copy of z is made
+        z = self.z
+        q = z.shape[1]
+        zz = np.empty((z.shape[0], q * (q + 1) // 2))
+        col = 0
+        for a in range(q):
+            np.multiply(z[:, a:a + 1], z[:, a:], out=zz[:, col:col + q - a])
+            col += q - a
+        return zz
 
     def __getstate__(self):
         # _zz is the largest part and follows from z: a pool worker that

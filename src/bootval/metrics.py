@@ -35,31 +35,44 @@ def no_information(kind: str) -> float:
         raise MetricError(f"unknown measure kind {kind!r}") from None
 
 
-def _placements(scores: np.ndarray, outcomes: np.ndarray,
-                measure: str) -> tuple[np.ndarray, np.ndarray]:
+def score_ranks(scores: np.ndarray) -> tuple[int, np.ndarray]:
+    """What the placements read of finite scores, from their one sort: the
+    number of distinct scores, and each score's index among them."""
+    distinct, group = np.unique(scores, return_inverse=True)
+    return distinct.shape[0], group
+
+
+def _placements(scores: np.ndarray, outcomes: np.ndarray, measure: str,
+                ranks: tuple[int, np.ndarray] | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
     """DeLong's placements: for each event, the nonevents scored below it
     plus half those tied with it; for each nonevent, the same count of
-    events. Exact half-integers from one sort; all NaN if any score is."""
-    scores = np.asarray(scores, dtype=np.float64)
+    events. Exact half-integers from one sort; all NaN if any score is.
+    Given score_ranks(scores) as `ranks`, scores are not read."""
     pos = np.asarray(outcomes) == 1
     m = int(np.count_nonzero(pos))
     if m == 0 or m == pos.shape[0]:
         raise MetricError(f"{measure} needs both outcome classes")
-    if np.isnan(scores).any():
-        return np.full(m, np.nan), np.full(pos.shape[0] - m, np.nan)
-    distinct, group = np.unique(scores, return_inverse=True)
-    events = np.bincount(group[pos], minlength=distinct.shape[0])
-    nonevents = np.bincount(group[~pos], minlength=distinct.shape[0])
+    if ranks is None:
+        scores = np.asarray(scores, dtype=np.float64)
+        if np.isnan(scores).any():
+            return np.full(m, np.nan), np.full(pos.shape[0] - m, np.nan)
+        ranks = score_ranks(scores)
+    k, group = ranks
+    events = np.bincount(group[pos], minlength=k)
+    nonevents = np.bincount(group[~pos], minlength=k)
     among_events = np.cumsum(events) - 0.5 * events
     among_nonevents = np.cumsum(nonevents) - 0.5 * nonevents
     return among_nonevents[group[pos]], among_events[group[~pos]]
 
 
-def c_statistic_value(scores: np.ndarray, outcomes: np.ndarray) -> float:
+def c_statistic_value(scores: np.ndarray, outcomes: np.ndarray,
+                      ranks: tuple[int, np.ndarray] | None = None) -> float:
     """AUC = (concordant + 0.5*tied) / (events * nonevents): the sum of the
-    events' placements over m * n (Mann-Whitney; exact, including ties)."""
+    events' placements over m * n (Mann-Whitney; exact, including ties).
+    `ranks` is score_ranks(scores) where the caller has it."""
     event_places, nonevent_places = _placements(scores, outcomes,
-                                                "c-statistic")
+                                                "c-statistic", ranks)
     return float(np.sum(event_places)) / (event_places.shape[0]
                                           * nonevent_places.shape[0])
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import DataError, Dataset
-from .resampling import map_records
+from .resampling import WorkerPool, map_records
 
 # Linear predictors are clipped here before the logistic transform so
 # probabilities stay strictly inside (0,1) in float64 even for capped
@@ -258,10 +258,10 @@ def lambda_grid(d: Dataset, recipe: FitRecipe) -> np.ndarray:
 
 def fit_penalized(d: Dataset, recipe: FitRecipe,
                   fold_rng: np.random.Generator | None = None,
-                  workers: int = 1) -> FittedModel:
+                  workers: int | WorkerPool = 1) -> FittedModel:
     """Ridge or lasso logistic fit at a fixed or CV-selected lambda. The CV
-    folds' paths run across `workers` processes; the selected lambda does
-    not depend on the worker count."""
+    folds' paths run across `workers` processes (see map_records); the
+    selected lambda does not depend on the worker count."""
     d.check_fittable()
     if recipe.estimator not in ("ridge", "lasso"):
         raise FitError("fit_penalized requires a ridge or lasso recipe")
@@ -341,7 +341,7 @@ def _back_transform(kind, a0, b, live, mu, sd, lam, converged, iterations):
 
 def fit(d: Dataset, recipe: FitRecipe,
         fold_rng: np.random.Generator | None = None,
-        workers: int = 1) -> FittedModel:
+        workers: int | WorkerPool = 1) -> FittedModel:
     """Dispatch on the recipe's estimator; a non-finite fit is a FitError.
     The bootstrap engine's single entry point, so the full
     model-development process, penalty tuning included, is what gets

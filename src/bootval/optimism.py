@@ -18,7 +18,8 @@ from .data import DataError, Dataset
 from .kernel import Patterns, c_statistics, fit_ml_counts, risk_scores
 from .metrics import C_STATISTIC, MetricError, measure_value, no_information
 from .models import MAX_ITER, TOL, FitError, FitRecipe, fit, predict
-from .resampling import ResamplePlan, draw, draw_block, map_records, stream
+from .resampling import (ResamplePlan, WorkerPool, draw, draw_block,
+                         map_records, stream)
 
 HARRELL = "harrell"
 P632 = "0.632"
@@ -58,7 +59,7 @@ class ReplicateSet:
 
 
 def apparent_fit(d: Dataset, recipe: FitRecipe, plan: ResamplePlan,
-                 workers: int = 1):
+                 workers: int | WorkerPool = 1):
     """Fit the recipe on the original data (deterministic CV stream keyed
     under the plan's level so nested runs never share fold draws)."""
     fold_rng = stream(plan.seed, *plan.level, 0)
@@ -156,7 +157,7 @@ def kernel_patterns(d: Dataset, recipe: FitRecipe,
 
 
 def evaluate_replicates(d: Dataset, recipe: FitRecipe, measure: str,
-                        plan: ResamplePlan, workers: int = 1,
+                        plan: ResamplePlan, workers: int | WorkerPool = 1,
                         patterns: Patterns | None = None,
                         oob: bool = True) -> ReplicateSet:
     """(theta_boot, theta_orig, theta_out) of every replicate of the plan,

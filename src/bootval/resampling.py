@@ -17,12 +17,18 @@ generate_state(2, uint64), and its counter starts at zero. draw_block
 draws a block of replicates at once: it derives every key of the block in
 one vectorised pass of the SeedSequence hash, then sets one Philox to each
 key in turn and lets NumPy draw the integers, so each row equals draw()'s.
+
+A WorkerPool maps the tasks of one validation or one scenario on one set of
+processes, each of which runs one BLAS thread (see WorkerPool).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import ctypes
+import sys
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -208,19 +214,101 @@ def percentile_interval(values: np.ndarray,
             quantile_type7(vals, 1.0 - alpha / 2.0))
 
 
-def map_records(n_items: int, task, workers: int = 1) -> list:
-    """[task(0), ..., task(n_items - 1)], possibly across processes.
+@cache
+def _openblas():
+    """The thread-count getter and setter of NumPy's bundled OpenBLAS, found
+    through the NumPy extension that links it; None, said once on stderr,
+    where they are missing."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        sys.stderr.write("[bootval] BLAS threads not pinned: NumPy's OpenBLAS "
+                         "has no scipy_openblas_set_num_threads64_\n")
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def blas_threads() -> int | None:
+    """This process's OpenBLAS thread count; None where it cannot be read."""
+    lib = _openblas()
+    return None if lib is None else lib[0]()
+
+
+def _set_blas_threads(count: int) -> None:
+    lib = _openblas()
+    if lib is not None:
+        lib[1](count)
+
+
+class WorkerPool:
+    """The processes of one validation or one scenario, as a context
+    manager. While it is open every process that computes runs one BLAS
+    thread: the workers from their start, the caller until the pool closes,
+    when the caller's own count is restored. So no bit depends on the
+    thread count, over which OpenBLAS splits a product from about 26,000
+    rows. At one worker tasks run here; otherwise the processes start with
+    the first task that needs them."""
+
+    def __init__(self, workers: int = 1):
+        self.workers = workers
+        self._executor = None
+        self._saved = None
+
+    def __enter__(self) -> "WorkerPool":
+        self._saved = blas_threads()
+        _set_blas_threads(1)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
+        _set_blas_threads(self._saved)
+
+    def _processes(self) -> ProcessPoolExecutor:
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(
+                self.workers, initializer=_set_blas_threads, initargs=(1,))
+        return self._executor
+
+    def submit(self, fn, *args) -> Future:
+        """fn(*args) on a worker, as a Future; at one worker fn runs at
+        once, here. fn must be picklable."""
+        if self.workers > 1:
+            return self._processes().submit(fn, *args)
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def map(self, n_items: int, task) -> list:
+        """[task(0), ..., task(n_items - 1)] in index order."""
+        if self.workers <= 1 or n_items <= 1:
+            return [task(r) for r in range(n_items)]
+        chunk = max(1, n_items // (self.workers * 4))
+        return list(self._processes().map(task, range(n_items),
+                                          chunksize=chunk))
+
+
+def map_records(n_items: int, task, workers: int | WorkerPool = 1) -> list:
+    """[task(0), ..., task(n_items - 1)], possibly across processes: on
+    `workers` when it is an open WorkerPool, else on a pool of that many
+    processes opened for this call.
 
     The list is in index order whatever the worker count. task must be a
     pure, picklable callable; its exceptions propagate."""
-    if workers <= 1 or n_items <= 1:
-        return [task(r) for r in range(n_items)]
-    chunk = max(1, n_items // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, range(n_items), chunksize=chunk))
+    if isinstance(workers, WorkerPool):
+        return workers.map(n_items, task)
+    with WorkerPool(workers) as pool:
+        return pool.map(n_items, task)
 
 
-def map_indices(n_items: int, task, workers: int = 1) -> np.ndarray:
+def map_indices(n_items: int, task,
+                workers: int | WorkerPool = 1) -> np.ndarray:
     """map_records for tasks that return a float or a row of floats, as a
     float array; NaN marks an invalid entry."""
     return np.array(map_records(n_items, task, workers=workers),

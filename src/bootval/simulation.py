@@ -29,14 +29,16 @@ import numpy as np
 # bivariate normal tail and the root finder below follow SciPy's own code
 # operation for operation, so building a generator returns the same bits
 # without loading scipy.stats or scipy.optimize (about 0.7 s of imports).
-from scipy.special import ndtr, ndtri
+from scipy.special import expit, ndtr, ndtri
 
 from .data import Dataset, DataError
 from .intervals import TWO_STAGE, IntervalError, parse_method, validate
-from .metrics import C_STATISTIC, MetricError, c_statistic_value
+from .metrics import (C_STATISTIC, MetricError, c_statistic_value,
+                      score_ranks)
 from .models import FitError, FitRecipe, logistic
 from .optimism import OptimismError
-from .resampling import ResamplePlan, ResamplingError, map_records, stream
+from .resampling import (ResamplePlan, ResamplingError, WorkerPool,
+                         map_records, stream)
 # Not called here: bench/launch.py times these layers through the names
 # this module imports.
 from .intervals import two_stage_ci  # noqa: F401
@@ -586,9 +588,12 @@ def calibrate_intercept(gen: CovariateGenerator, slopes: np.ndarray,
     lp = _sample_lp(gen, slopes, columns_for_p(p), sample_n,
                     stream(seed, 3, 0))
     base = float(np.log(target_rate / (1.0 - target_rate)))
+    buf = np.empty_like(lp)  # each evaluation's logistic(b0 + lp)
 
     def excess(b0):
-        return float(logistic(b0 + lp).mean()) - target_rate
+        np.add(b0, lp, out=buf)
+        expit(buf, out=buf)
+        return float(buf.mean()) - target_rate
 
     lo, up = base - 15.0, base + 15.0
     if excess(lo) > 0 or excess(up) < 0:
@@ -618,21 +623,33 @@ def true_risk_score(lp: np.ndarray) -> np.ndarray:
     return np.round(lp, 10)
 
 
-def estimate_true_auc(gen: CovariateGenerator, model: TrueModel, p: int,
-                      test_n: int, seed: int) -> float:
-    """Empirical AUC of the true risk score on a fresh external cohort: the
-    one generate_cohort(gen, model, p, test_n, seed) draws, whose outcomes
-    follow its covariates in the stream. Equal true risks count as ties, as
-    in every C-statistic here. Only the cohort's linear predictor is held,
-    from _sample_lp in one chunk, with the bits of the one-shot product."""
+def estimand_draws(gen: CovariateGenerator, slopes: np.ndarray, p: int,
+                   test_n: int, seed: int):
+    """All of estimate_true_auc's work that the intercept does not enter:
+    the cohort's linear predictor without the intercept, from _sample_lp
+    in one chunk with the bits of the one-shot product; its stream, which
+    then stands at the outcome draws; and the score_ranks of its true risk
+    scores."""
     if test_n < 1000:
         raise SimulationError("external test cohort must have >= 1000 rows")
     rng = stream(seed, 3, 1)
-    lp = _sample_lp(gen, model.slopes, columns_for_p(p), test_n, rng,
+    lp = _sample_lp(gen, slopes, columns_for_p(p), test_n, rng,
                     chunk=test_n)
+    return lp, rng, score_ranks(true_risk_score(lp))
+
+
+def estimate_true_auc(gen: CovariateGenerator, model: TrueModel, p: int,
+                      test_n: int, seed: int, draws=None) -> float:
+    """Empirical AUC of the true risk score on a fresh external cohort: the
+    one generate_cohort(gen, model, p, test_n, seed) draws, whose outcomes
+    follow its covariates in the stream. Equal true risks count as ties, as
+    in every C-statistic here. The cohort's covariates are reduced to their
+    linear predictor. `draws` is estimand_draws(gen, model.slopes, p,
+    test_n, seed) where the caller has it already."""
+    lp, rng, ranks = draws or estimand_draws(gen, model.slopes, p, test_n,
+                                             seed)
     y = rng.random(test_n) < logistic(model.beta0 + lp)
-    lp = true_risk_score(lp)  # frees the unrounded values before the sort
-    return c_statistic_value(lp, y)
+    return c_statistic_value(None, y, ranks)
 
 
 @dataclass(frozen=True)
@@ -684,7 +701,8 @@ def run_scenario(spec: ScenarioSpec, methods, replications: int, B: int,
                  estimand_n: int = 500_000) -> list[CoverageResult]:
     """Run one scenario end to end and aggregate coverage per method. The
     arguments are checked before any set-up, so that a bad one raises
-    instead of failing every replication."""
+    instead of failing every replication. Set-up and replications run on
+    one WorkerPool of `workers` processes."""
     kinds = [parse_method(method)[0] for method in methods]
     if TWO_STAGE in kinds and (inner_B is None or inner_B < 1):
         raise IntervalError("inner_B must be >= 1")
@@ -695,18 +713,25 @@ def run_scenario(spec: ScenarioSpec, methods, replications: int, B: int,
     if replications < 1:
         raise SimulationError("replications must be >= 1")
     config = config or GeneratorConfig.default()
-    gen = CovariateGenerator(config)
-    slopes = config.coefficients[(spec.p, spec.coefficient_type)]
-    beta0 = calibrate_intercept(gen, slopes, spec.event_rate, spec.p,
-                                sample_n=calibration_n,
-                                seed=_subseed(seed, 1, spec.id))
-    model = TrueModel(beta0, slopes)
-    true_auc = estimate_true_auc(gen, model, spec.p, estimand_n,
-                                 seed=_subseed(seed, 2, spec.id))
-
-    task = partial(_replication, gen, model, true_auc, spec, methods, B,
-                   inner_B, alpha, seed, replications)
-    records = map_records(replications, task, workers=workers)
+    with WorkerPool(workers) as pool:
+        gen = CovariateGenerator(config)
+        slopes = config.coefficients[(spec.p, spec.coefficient_type)]
+        # The intercept enters the estimand only at its outcome draws, so
+        # one worker calibrates while another does the rest of the
+        # estimand. This process waits: calibrating here, it would hold the
+        # calibration's arrays when the estimand's arrive, and a worker idle
+        # through set-up starts the replications with a cold heap.
+        beta0 = pool.submit(calibrate_intercept, gen, slopes, spec.event_rate,
+                            spec.p, calibration_n, _subseed(seed, 1, spec.id))
+        estimand_seed = _subseed(seed, 2, spec.id)
+        draws = pool.submit(estimand_draws, gen, slopes, spec.p, estimand_n,
+                            estimand_seed)
+        model = TrueModel(beta0.result(), slopes)
+        true_auc = estimate_true_auc(gen, model, spec.p, estimand_n,
+                                     estimand_seed, draws=draws.result())
+        task = partial(_replication, gen, model, true_auc, spec, methods, B,
+                       inner_B, alpha, seed, replications)
+        records = map_records(replications, task, workers=pool)
     results = []
     for method in methods:
         covered, widths, failures = 0, [], 0

@@ -316,6 +316,33 @@ def test_validate_rejects_a_non_finite_penalty(csv_path, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_validate_rejects_a_penalty_for_maximum_likelihood(csv_path,
+                                                          tmp_path, capsys):
+    # the ML fit has no penalty, so the report must not claim one
+    out = tmp_path / "report.json"
+    assert run_validate(csv_path, out, "--estimator", "ml",
+                        "--penalty", "5") == 2
+    assert "--penalty applies to --estimator ridge or lasso only" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--B", "x"],
+    ["validate", "--input", "a.csv", "--outcome-column", "y", "--B", "x"],
+    ["simulate", "--replications", "1.5"],
+    ["simulate", "--bogus"],
+    ["bogus"],
+    [],
+])
+def test_parser_refusals_use_the_library_error_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "bootval: error: ")
+
+
 def test_validate_rejects_a_fit_with_non_finite_coefficients(tmp_path,
                                                              capsys):
     # a predictor scaled by 1e200 overflows the ML fit's Hessian

@@ -3,9 +3,9 @@
 `cli.main` is driven with numeric flags drawn from edge sets and with small
 CSV files drawn from the shapes that break parsers. Whatever the input, the
 exit status is 0 or 2 and no exception escapes. On status 2 the last line
-of stderr is the error line and no output file is written; on status 0 the
-output exists. argparse refuses a value it cannot convert in its own form,
-`bootval <command>: error: ...`, also with status 2.
+of stderr is the error line, `bootval: error: ...`, and no output file is
+written; on status 0 the output exists. argparse's own refusals, of a value
+it cannot convert, end in the same line.
 
 Sizes that only scale the work (B, inner_B, replications and the
 simulation's sample sizes) are drawn from small values: a huge one asks for
@@ -28,7 +28,7 @@ EXAMPLES = settings(max_examples=60, derandomize=True, database=None,
                     deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
-ERROR_LINE = re.compile(r"bootval( validate| simulate)?: error: ")
+ERROR_LINE = re.compile(r"bootval: error: ")
 
 # Each flag's ordinary values, and its edge values. An example gives at
 # most one flag an edge value, so that the rest of the run is reached.
