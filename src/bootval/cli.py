@@ -139,8 +139,6 @@ def _check_common(args):
         raise ConfigError("seed must be >= 0")
     if args.workers is None:
         args.workers = os.cpu_count() or 1
-    if args.workers < 1:
-        raise ConfigError("workers must be >= 1")
 
 
 def validate_command(args) -> dict:
@@ -232,10 +230,11 @@ def validate_command(args) -> dict:
 
 def simulate_command(args) -> tuple[str, str]:
     _check_common(args)
-    methods = _parse_list(args.methods, "CI method")
+    # a repeated method or scenario runs and reports once, first-come order
+    methods = list(dict.fromkeys(_parse_list(args.methods, "CI method")))
     scenarios = _parse_list(args.scenarios, "scenario")
     try:
-        ids = [int(s) for s in scenarios]
+        ids = list(dict.fromkeys(int(s) for s in scenarios))
     except ValueError:
         raise ConfigError(f"scenario ids must be integers, got "
                           f"{args.scenarios!r}") from None

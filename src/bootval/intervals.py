@@ -133,18 +133,17 @@ def two_stage_ci(result: OptimismResult, values: np.ndarray, inner_B: int,
 
 
 def _bootstrap(d: Dataset, recipe: FitRecipe, measure: str,
-               plan: ResamplePlan, workers: int | WorkerPool = 1,
+               plan: ResamplePlan, pool: WorkerPool | None = None,
                patterns=None, oob: bool = True):
     """The bootstrap every correction and interval shares: the apparent
     risk scores, the apparent value and the replicate set (see
     evaluate_replicates for patterns and oob). Only a top-level call passes
-    its pool: the replicates and outer tasks already run in pool workers,
-    and there the apparent fit's folds run inline."""
-    scores = predict(apparent_fit(d, recipe, plan, workers), d)
+    its pool: the outer tasks already run on its workers, so an inner
+    bootstrap runs inline."""
+    scores = predict(apparent_fit(d, recipe, plan, pool), d)
     apparent = measure_value(measure, scores, d.outcomes)
     return scores, apparent, evaluate_replicates(
-        d, recipe, measure, plan, workers=workers, patterns=patterns,
-        oob=oob)
+        d, recipe, measure, plan, pool=pool, patterns=patterns, oob=oob)
 
 
 def _two_stage_outer(d: Dataset, recipe: FitRecipe, measure: str,
@@ -218,7 +217,7 @@ def validate(d: Dataset, recipe: FitRecipe, measure: str, plan: ResamplePlan,
             task = partial(_two_stage_outer, d, recipe, measure, plan,
                            inner_B, two_stage, patterns)
             outer = dict(zip(two_stage,
-                             map_indices(plan.B, task, workers=pool).T))
+                             map_indices(plan.B, task, pool).T))
         intervals = []
         for kind, c in parsed:
             if kind == DELONG:

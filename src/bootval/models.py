@@ -258,10 +258,10 @@ def lambda_grid(d: Dataset, recipe: FitRecipe) -> np.ndarray:
 
 def fit_penalized(d: Dataset, recipe: FitRecipe,
                   fold_rng: np.random.Generator | None = None,
-                  workers: int | WorkerPool = 1) -> FittedModel:
+                  pool: WorkerPool | None = None) -> FittedModel:
     """Ridge or lasso logistic fit at a fixed or CV-selected lambda. The CV
-    folds' paths run across `workers` processes (see map_records); the
-    selected lambda does not depend on the worker count."""
+    folds' paths run on `pool` (see map_records); the selected lambda does
+    not depend on the worker count."""
     d.check_fittable()
     if recipe.estimator not in ("ridge", "lasso"):
         raise FitError("fit_penalized requires a ridge or lasso recipe")
@@ -274,7 +274,7 @@ def fit_penalized(d: Dataset, recipe: FitRecipe,
     task = partial(_fold_deviances, d, recipe, grid,
                    _fold_assignment(d.n, CV_FOLDS, fold_rng))
     cv_dev = np.zeros(grid.size)
-    for row in map_records(CV_FOLDS, task, workers=workers):
+    for row in map_records(CV_FOLDS, task, pool):
         if row is not None:
             cv_dev += row
     finite = np.isfinite(cv_dev)
@@ -341,13 +341,13 @@ def _back_transform(kind, a0, b, live, mu, sd, lam, converged, iterations):
 
 def fit(d: Dataset, recipe: FitRecipe,
         fold_rng: np.random.Generator | None = None,
-        workers: int | WorkerPool = 1) -> FittedModel:
+        pool: WorkerPool | None = None) -> FittedModel:
     """Dispatch on the recipe's estimator; a non-finite fit is a FitError.
     The bootstrap engine's single entry point, so the full
     model-development process, penalty tuning included, is what gets
-    resampled. `workers` spreads a CV penalty's folds across processes."""
+    resampled. A CV penalty's folds run on `pool`."""
     model = (fit_ml(d) if recipe.estimator == "ml" else
-             fit_penalized(d, recipe, fold_rng=fold_rng, workers=workers))
+             fit_penalized(d, recipe, fold_rng=fold_rng, pool=pool))
     if not np.isfinite([model.intercept, *model.slopes]).all():
         raise FitError(f"{recipe.estimator} fit has non-finite coefficients")
     return model

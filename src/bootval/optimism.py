@@ -59,11 +59,11 @@ class ReplicateSet:
 
 
 def apparent_fit(d: Dataset, recipe: FitRecipe, plan: ResamplePlan,
-                 workers: int | WorkerPool = 1):
+                 pool: WorkerPool | None = None):
     """Fit the recipe on the original data (deterministic CV stream keyed
     under the plan's level so nested runs never share fold draws)."""
     fold_rng = stream(plan.seed, *plan.level, 0)
-    return fit(d, recipe, fold_rng=fold_rng, workers=workers)
+    return fit(d, recipe, fold_rng=fold_rng, pool=pool)
 
 
 def two_class_draw(d: Dataset, plan: ResamplePlan, r: int, retry: int = 0):
@@ -157,7 +157,7 @@ def kernel_patterns(d: Dataset, recipe: FitRecipe,
 
 
 def evaluate_replicates(d: Dataset, recipe: FitRecipe, measure: str,
-                        plan: ResamplePlan, workers: int | WorkerPool = 1,
+                        plan: ResamplePlan, pool: WorkerPool | None = None,
                         patterns: Patterns | None = None,
                         oob: bool = True) -> ReplicateSet:
     """(theta_boot, theta_orig, theta_out) of every replicate of the plan,
@@ -175,7 +175,7 @@ def evaluate_replicates(d: Dataset, recipe: FitRecipe, measure: str,
     else:
         task = partial(_replicate_row, d, recipe, measure, plan, oob)
         n_tasks = plan.B
-    rows = np.vstack(map_records(n_tasks, task, workers=workers))
+    rows = np.vstack(map_records(n_tasks, task, pool))
     return ReplicateSet(*rows.T)
 
 

@@ -18,8 +18,8 @@ draws a block of replicates at once: it derives every key of the block in
 one vectorised pass of the SeedSequence hash, then sets one Philox to each
 key in turn and lets NumPy draw the integers, so each row equals draw()'s.
 
-A WorkerPool maps the tasks of one validation or one scenario on one set of
-processes, each of which runs one BLAS thread (see WorkerPool).
+map_records runs the tasks of one validation or one scenario on the one
+WorkerPool that validate or run_scenario opens (see WorkerPool).
 """
 
 from __future__ import annotations
@@ -252,9 +252,11 @@ class WorkerPool:
     when the caller's own count is restored. So no bit depends on the
     thread count, over which OpenBLAS splits a product from about 26,000
     rows. At one worker tasks run here; otherwise the processes start with
-    the first task that needs them."""
+    the first task submitted."""
 
     def __init__(self, workers: int = 1):
+        if workers < 1:
+            raise ResamplingError("workers must be >= 1")
         self.workers = workers
         self._executor = None
         self._saved = None
@@ -262,6 +264,9 @@ class WorkerPool:
     def __enter__(self) -> "WorkerPool":
         self._saved = blas_threads()
         _set_blas_threads(1)
+        if self.workers > 1:
+            self._executor = ProcessPoolExecutor(
+                self.workers, initializer=_set_blas_threads, initargs=(1,))
         return self
 
     def __exit__(self, *exc) -> None:
@@ -270,46 +275,30 @@ class WorkerPool:
             self._executor = None
         _set_blas_threads(self._saved)
 
-    def _processes(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                self.workers, initializer=_set_blas_threads, initargs=(1,))
-        return self._executor
-
     def submit(self, fn, *args) -> Future:
         """fn(*args) on a worker, as a Future; at one worker fn runs at
         once, here. fn must be picklable."""
         if self.workers > 1:
-            return self._processes().submit(fn, *args)
+            return self._executor.submit(fn, *args)
         future = Future()
         future.set_result(fn(*args))
         return future
 
-    def map(self, n_items: int, task) -> list:
-        """[task(0), ..., task(n_items - 1)] in index order."""
-        if self.workers <= 1 or n_items <= 1:
-            return [task(r) for r in range(n_items)]
-        chunk = max(1, n_items // (self.workers * 4))
-        return list(self._processes().map(task, range(n_items),
-                                          chunksize=chunk))
 
+def map_records(n_items: int, task, pool: WorkerPool | None = None) -> list:
+    """[task(0), ..., task(n_items - 1)] in index order: across the open
+    pool's processes, or here when there is no pool (the caller already
+    runs on a worker), the pool has one worker or there is one task.
 
-def map_records(n_items: int, task, workers: int | WorkerPool = 1) -> list:
-    """[task(0), ..., task(n_items - 1)], possibly across processes: on
-    `workers` when it is an open WorkerPool, else on a pool of that many
-    processes opened for this call.
-
-    The list is in index order whatever the worker count. task must be a
-    pure, picklable callable; its exceptions propagate."""
-    if isinstance(workers, WorkerPool):
-        return workers.map(n_items, task)
-    with WorkerPool(workers) as pool:
-        return pool.map(n_items, task)
+    task must be a pure, picklable callable; its exceptions propagate."""
+    if pool is None or pool.workers == 1 or n_items <= 1:
+        return [task(r) for r in range(n_items)]
+    chunk = max(1, n_items // (pool.workers * 4))
+    return list(pool._executor.map(task, range(n_items), chunksize=chunk))
 
 
 def map_indices(n_items: int, task,
-                workers: int | WorkerPool = 1) -> np.ndarray:
+                pool: WorkerPool | None = None) -> np.ndarray:
     """map_records for tasks that return a float or a row of floats, as a
     float array; NaN marks an invalid entry."""
-    return np.array(map_records(n_items, task, workers=workers),
-                    dtype=np.float64)
+    return np.array(map_records(n_items, task, pool), dtype=np.float64)

@@ -712,6 +712,12 @@ def run_scenario(spec: ScenarioSpec, methods, replications: int, B: int,
         raise SimulationError("seed must be >= 0")
     if replications < 1:
         raise SimulationError("replications must be >= 1")
+    if B < 1:
+        raise ResamplingError("B must be >= 1")
+    if calibration_n < 1:
+        raise SimulationError("calibration sample must have >= 1 row")
+    if estimand_n < 1000:
+        raise SimulationError("external test cohort must have >= 1000 rows")
     config = config or GeneratorConfig.default()
     with WorkerPool(workers) as pool:
         gen = CovariateGenerator(config)
@@ -731,7 +737,7 @@ def run_scenario(spec: ScenarioSpec, methods, replications: int, B: int,
                                      estimand_seed, draws=draws.result())
         task = partial(_replication, gen, model, true_auc, spec, methods, B,
                        inner_B, alpha, seed, replications)
-        records = map_records(replications, task, workers=pool)
+        records = map_records(replications, task, pool)
     results = []
     for method in methods:
         covered, widths, failures = 0, [], 0

@@ -145,6 +145,33 @@ def test_simulate_small_run_and_shape(tmp_path):
         assert 0.0 <= row["coverage"] <= 1.0
 
 
+def test_simulate_runs_a_repeated_method_or_scenario_once(tmp_path,
+                                                         monkeypatch):
+    # repeats collapse to their first occurrence, so the reports are those
+    # of the list without them
+    ran = []
+    original = cli.run_scenario
+
+    def recording(spec, methods, *args, **kwargs):
+        ran.append((spec.id, list(methods)))
+        return original(spec, methods, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", recording)
+    common = ["--replications", "1", "--B", "4", "--seed", "2",
+              "--workers", "1", "--calibration-n", "20000",
+              "--estimand-n", "2000"]
+    assert main(["simulate", "--scenarios", "1,1",
+                 "--methods", "apparent,delong,apparent", *common,
+                 "--output-prefix", str(tmp_path / "repeated")]) == 0
+    assert main(["simulate", "--scenarios", "1",
+                 "--methods", "apparent,delong", *common,
+                 "--output-prefix", str(tmp_path / "once")]) == 0
+    assert ran == [(1, ["apparent", "delong"])] * 2
+    for ext in ("csv", "json"):
+        assert ((tmp_path / f"repeated.{ext}").read_bytes()
+                == (tmp_path / f"once.{ext}").read_bytes())
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 

@@ -12,7 +12,7 @@ from bootval.models import (CV_FOLDS, FitRecipe, _cd_penalized,
                             _fold_assignment, _fold_deviances, _standardize,
                             _sum_log1pexp, fit_penalized, lambda_grid,
                             lasso_lambda_max, logistic)
-from bootval.resampling import stream
+from bootval.resampling import WorkerPool, stream
 
 from conftest import make_dataset
 
@@ -148,8 +148,11 @@ def test_lasso_constant_column_gives_nan_where_reference_does():
 def test_cv_selected_fit_same_at_one_and_two_workers(kind):
     d = make_dataset(12, n=80, p=3)
     recipe = FitRecipe(kind, n_lambdas=20)
-    models = [fit_penalized(d, recipe, fold_rng=stream(4, 0), workers=w)
-              for w in (1, 2)]
+    models = []
+    for w in (1, 2):
+        with WorkerPool(w) as pool:
+            models.append(fit_penalized(d, recipe, fold_rng=stream(4, 0),
+                                        pool=pool))
     a, b = models
     assert a.intercept.hex() == b.intercept.hex()
     assert a.slopes.tobytes() == b.slopes.tobytes()

@@ -13,7 +13,7 @@ from bootval.optimism import (HARRELL, P632, P632PLUS, OptimismError,
                               apparent_fit, correct, evaluate_replicates,
                               harrell_from_replicates, p632_from_replicates,
                               p632plus_from_replicates, two_class_draw)
-from bootval.resampling import ResamplePlan
+from bootval.resampling import ResamplePlan, WorkerPool
 
 from conftest import make_dataset, raising
 from oracles import _corrected_reference
@@ -135,10 +135,12 @@ def test_correct_is_deterministic():
 def test_worker_count_invariance():
     d = make_dataset(55, n=60, p=2)
     plan = ResamplePlan(16, 7)
-    seq = evaluate_replicates(d, FitRecipe("ml"), C_STATISTIC, plan,
-                              workers=1)
-    par = evaluate_replicates(d, FitRecipe("ml"), C_STATISTIC, plan,
-                              workers=4)
+    with WorkerPool(1) as pool:
+        seq = evaluate_replicates(d, FitRecipe("ml"), C_STATISTIC, plan,
+                                  pool=pool)
+    with WorkerPool(4) as pool:
+        par = evaluate_replicates(d, FitRecipe("ml"), C_STATISTIC, plan,
+                                  pool=pool)
     assert np.array_equal(seq.theta_boot, par.theta_boot, equal_nan=True)
     assert np.array_equal(seq.theta_orig, par.theta_orig, equal_nan=True)
     assert np.array_equal(seq.theta_out, par.theta_out, equal_nan=True)

@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bootval import resampling, simulation
+from bootval import intervals, optimism, resampling, simulation
 from bootval.intervals import validate
 from bootval.metrics import C_STATISTIC
 from bootval.models import FitRecipe
-from bootval.resampling import ResamplePlan, WorkerPool, blas_threads
+from bootval.resampling import (ResamplePlan, ResamplingError, WorkerPool,
+                                blas_threads, map_records)
 from bootval.simulation import (GeneratorConfig, ScenarioSpec,
                                 SimulationError, run_scenario)
 
@@ -88,7 +89,7 @@ def test_pool_runs_one_blas_thread_and_restores_the_callers(
         caller_at_two_blas_threads):
     with WorkerPool(2) as pool:
         assert blas_threads() == 1
-        assert pool.map(4, _blas_threads_here) == [1] * 4
+        assert map_records(4, _blas_threads_here, pool) == [1] * 4
         assert pool.submit(_blas_threads_here, 0).result() == 1
     assert blas_threads() == 2
 
@@ -101,20 +102,23 @@ def test_pool_without_blas_thread_functions_pins_nothing_and_says_so(
     monkeypatch.setattr(resampling, "_openblas", lambda: None)
     resampling._set_blas_threads(1)  # the workers' initializer
     with WorkerPool(1) as pool:
-        assert pool.map(3, _blas_threads_here) == [None] * 3
+        assert map_records(3, _blas_threads_here, pool) == [None] * 3
     assert blas_threads() is None
 
 
 def record_blas_threads_at_maps(monkeypatch):
-    """The caller's BLAS thread count at each WorkerPool.map call."""
+    """The caller's BLAS thread count at each map of replicates,
+    replications or outer replicates, wrapped where its callers look it
+    up."""
     seen = []
-    original = WorkerPool.map
+    for module, name in ((optimism, "map_records"),
+                         (simulation, "map_records"),
+                         (intervals, "map_indices")):
+        def recording(*args, original=getattr(module, name), **kwargs):
+            seen.append(blas_threads())
+            return original(*args, **kwargs)
 
-    def recording(self, n_items, task):
-        seen.append(blas_threads())
-        return original(self, n_items, task)
-
-    monkeypatch.setattr(WorkerPool, "map", recording)
+        monkeypatch.setattr(module, name, recording)
     return seen
 
 
@@ -170,6 +174,33 @@ def executors_built(monkeypatch):
 
     monkeypatch.setattr(resampling, "ProcessPoolExecutor", Counting)
     return built, submitted
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_pool_refuses_fewer_than_one_worker(workers):
+    with pytest.raises(ResamplingError, match="workers must be >= 1"):
+        WorkerPool(workers)
+    with pytest.raises(ResamplingError, match="workers must be >= 1"):
+        validate(make_dataset(63, n=60, p=2), FitRecipe("ml"), C_STATISTIC,
+                 ResamplePlan(4, 2), workers=workers)
+
+
+def test_validate_opens_one_pool_for_its_nested_maps(monkeypatch):
+    # at one worker the CV folds of every fit, the replicates, the outer
+    # replicates and each outer replicate's inner bootstrap all run here,
+    # on the pool that validate opened
+    entered = []
+    original = WorkerPool.__enter__
+
+    def counting(self):
+        entered.append(self.workers)
+        return original(self)
+
+    monkeypatch.setattr(WorkerPool, "__enter__", counting)
+    validate(make_dataset(62, n=60, p=2), FitRecipe("lasso", n_lambdas=5),
+             C_STATISTIC, ResamplePlan(4, 3), corrections=["harrell"],
+             methods=["two-stage:harrell"], inner_B=2, workers=1)
+    assert entered == [1]
 
 
 def test_validate_builds_one_executor(executors_built):

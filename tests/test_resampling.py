@@ -8,10 +8,10 @@ from bootval.data import Dataset
 from bootval.intervals import apparent_bootstrap_ci, two_stage_ci
 from bootval.optimism import (HARRELL, OptimismResult, ReplicateSet,
                               two_class_block, two_class_draw)
-from bootval.resampling import (OUTER, ResamplePlan, ResamplingError, draw,
-                                draw_block, inner_level, map_indices,
-                                percentile_interval, philox_keys,
-                                quantile_type7, stream)
+from bootval.resampling import (OUTER, ResamplePlan, ResamplingError,
+                                WorkerPool, draw, draw_block, inner_level,
+                                map_indices, percentile_interval,
+                                philox_keys, quantile_type7, stream)
 
 from oracles import percentile_oracle
 
@@ -213,8 +213,10 @@ def test_map_indices_constant_task():
 def test_map_indices_worker_count_invariance():
     plan = ResamplePlan(24, 77)
     task = _SeedSensitiveTask(plan, 100)
-    seq = map_indices(plan.B, task, workers=1)
-    par = map_indices(plan.B, task, workers=4)
+    with WorkerPool(1) as pool:
+        seq = map_indices(plan.B, task, pool)
+    with WorkerPool(4) as pool:
+        par = map_indices(plan.B, task, pool)
     assert np.array_equal(seq, par)
 
 
@@ -237,9 +239,11 @@ class _Row:
 
 
 def test_map_indices_results_keyed_by_index():
-    values = map_indices(6, _Square(), workers=3)
+    with WorkerPool(3) as pool:
+        values = map_indices(6, _Square(), pool)
     assert np.array_equal(values, [0.0, 1.0, 4.0, 9.0, 16.0, 25.0])
-    rows = map_indices(5, _Row(), workers=2)
+    with WorkerPool(2) as pool:
+        rows = map_indices(5, _Row(), pool)
     assert rows.shape == (5, 2)
     assert np.array_equal(rows[:, 0], np.arange(5.0))
     assert np.array_equal(np.isnan(rows[:, 1]), [False, True] * 2 + [False])

@@ -402,7 +402,14 @@ def test_run_scenario_counts_library_errors_as_failures(monkeypatch):
     ({"alpha": 1.5}, SimulationError, "alpha must be in"),
     ({"seed": -1}, SimulationError, "seed must be >= 0"),
     ({"replications": 0}, SimulationError, "replications must be >= 1"),
-], ids=["inner_B", "alpha", "seed", "replications"])
+    ({"B": 0}, ResamplingError, "B must be >= 1"),
+    ({"calibration_n": 0}, SimulationError,
+     "calibration sample must have >= 1 row"),
+    ({"estimand_n": 999}, SimulationError,
+     "external test cohort must have >= 1000 rows"),
+    ({"workers": 0}, ResamplingError, "workers must be >= 1"),
+], ids=["inner_B", "alpha", "seed", "replications", "B", "calibration_n",
+        "estimand_n", "workers"])
 def test_run_scenario_checks_its_arguments_before_set_up(monkeypatch, change,
                                                          error, message):
     # a bad argument raises before the generator is built, instead of
