@@ -186,9 +186,9 @@ def test_pool_refuses_fewer_than_one_worker(workers):
 
 
 def test_validate_opens_one_pool_for_its_nested_maps(monkeypatch):
-    # at one worker the CV folds of every fit, the replicates, the outer
-    # replicates and each outer replicate's inner bootstrap all run here,
-    # on the pool that validate opened
+    # at one worker every map runs here: the CV folds of each fit, the
+    # replicates, the outer replicates and each outer replicate's inner
+    # bootstrap; only validate enters a pool
     entered = []
     original = WorkerPool.__enter__
 
