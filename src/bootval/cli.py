@@ -44,7 +44,10 @@ def _sig6(x):
 
 
 def _parse_list(raw: str, what: str) -> list[str]:
-    items = [s.strip() for s in raw.split(",") if s.strip()]
+    """The comma-separated items, each once, in first-come order: a
+    repeated item runs and reports once."""
+    items = list(dict.fromkeys(s.strip() for s in raw.split(",")
+                               if s.strip()))
     if not items:
         raise ConfigError(f"no {what} requested")
     return items
@@ -230,10 +233,10 @@ def validate_command(args) -> dict:
 
 def simulate_command(args) -> tuple[str, str]:
     _check_common(args)
-    # a repeated method or scenario runs and reports once, first-come order
-    methods = list(dict.fromkeys(_parse_list(args.methods, "CI method")))
+    methods = _parse_list(args.methods, "CI method")
     scenarios = _parse_list(args.scenarios, "scenario")
     try:
+        # "1,01" names scenario 1 twice
         ids = list(dict.fromkeys(int(s) for s in scenarios))
     except ValueError:
         raise ConfigError(f"scenario ids must be integers, got "

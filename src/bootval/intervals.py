@@ -191,6 +191,17 @@ class Validation:
 def validate(d: Dataset, recipe: FitRecipe, measure: str, plan: ResamplePlan,
              corrections=(), methods=(), inner_B: int | None = None,
              alpha: float = 0.05, workers: int = 1) -> Validation:
+    """run_validation with every map on one WorkerPool of `workers`
+    processes, opened and closed here."""
+    with WorkerPool(workers) as pool:
+        return run_validation(d, recipe, measure, plan, corrections, methods,
+                              inner_B, alpha, pool)
+
+
+def run_validation(d: Dataset, recipe: FitRecipe, measure: str,
+                   plan: ResamplePlan, corrections=(), methods=(),
+                   inner_B: int | None = None, alpha: float = 0.05,
+                   pool: WorkerPool | None = None) -> Validation:
     """Bootstrap validation of the recipe on d.
 
     The apparent fit and the plan's replicates are fitted, scored and
@@ -198,7 +209,8 @@ def validate(d: Dataset, recipe: FitRecipe, measure: str, plan: ResamplePlan,
     method names, is derived from them. `methods` are `kind[:correction]`
     specs (see parse_method). All two-stage intervals share one outer map,
     each outer replicate running the same bootstrap at inner_B. Every map
-    runs on one WorkerPool of `workers` processes."""
+    runs on the open pool, or here when pool is None (the caller already
+    runs on a worker)."""
     parsed = [parse_method(m) for m in methods]
     if measure != C_STATISTIC and any(k == DELONG for k, _ in parsed):
         raise IntervalError("the DeLong interval applies to the c-statistic "
@@ -206,27 +218,24 @@ def validate(d: Dataset, recipe: FitRecipe, measure: str, plan: ResamplePlan,
     two_stage = list(dict.fromkeys(c for k, c in parsed if k == TWO_STAGE))
     if two_stage and (inner_B is None or inner_B < 1):
         raise IntervalError("inner_B must be >= 1")
-    with WorkerPool(workers) as pool:
-        patterns = kernel_patterns(d, recipe, measure)
-        scores, apparent, reps = _bootstrap(d, recipe, measure, plan, pool,
-                                            patterns)
-        results = {c: correct(c, measure, apparent, reps) for c in
-                   dict.fromkeys([*corrections,
-                                  *(c for _, c in parsed if c)])}
-        if two_stage:
-            task = partial(_two_stage_outer, d, recipe, measure, plan,
-                           inner_B, two_stage, patterns)
-            outer = dict(zip(two_stage,
-                             map_indices(plan.B, task, pool).T))
-        intervals = []
-        for kind, c in parsed:
-            if kind == DELONG:
-                est = delong_interval(scores, d.outcomes, alpha)
-            elif kind == APPARENT:
-                est = apparent_bootstrap_ci(apparent, reps, alpha)
-            elif kind == LOCATION_SHIFTED:
-                est = location_shifted_ci(results[c], reps, alpha)
-            else:
-                est = two_stage_ci(results[c], outer[c], inner_B, alpha)
-            intervals.append(est)
-        return Validation(apparent, reps, results, intervals)
+    patterns = kernel_patterns(d, recipe, measure)
+    scores, apparent, reps = _bootstrap(d, recipe, measure, plan, pool,
+                                        patterns)
+    results = {c: correct(c, measure, apparent, reps) for c in
+               dict.fromkeys([*corrections, *(c for _, c in parsed if c)])}
+    if two_stage:
+        task = partial(_two_stage_outer, d, recipe, measure, plan, inner_B,
+                       two_stage, patterns)
+        outer = dict(zip(two_stage, map_indices(plan.B, task, pool).T))
+    intervals = []
+    for kind, c in parsed:
+        if kind == DELONG:
+            est = delong_interval(scores, d.outcomes, alpha)
+        elif kind == APPARENT:
+            est = apparent_bootstrap_ci(apparent, reps, alpha)
+        elif kind == LOCATION_SHIFTED:
+            est = location_shifted_ci(results[c], reps, alpha)
+        else:
+            est = two_stage_ci(results[c], outer[c], inner_B, alpha)
+        intervals.append(est)
+    return Validation(apparent, reps, results, intervals)

@@ -245,6 +245,38 @@ def _set_blas_threads(count: int) -> None:
         lib[1](count)
 
 
+# glibc's mallopt parameters (malloc.h), and the ceiling its adaptive mmap
+# threshold reaches on 64-bit; a (100, 40,830) float block is below it
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_CEILING = 32 * 1024 * 1024
+
+
+@cache
+def _mallopt():
+    """The C library's mallopt; None where it has none."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return None
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+def _start_worker() -> None:
+    """A pool worker's set-up: one BLAS thread, and an allocator that keeps
+    what it frees. By default glibc hands each freed block array back to
+    the OS and faults it in again at the next Newton iteration or block;
+    with every array up to the ceiling on the heap and no trimming, the
+    worker reuses it. Where the C library has no mallopt, nothing is set."""
+    _set_blas_threads(1)
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_CEILING)
+        mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
+
+
 class WorkerPool:
     """The processes of one validation or one scenario, as a context
     manager. While it is open every process that computes runs one BLAS
@@ -252,7 +284,9 @@ class WorkerPool:
     when the caller's own count is restored. So no bit depends on the
     thread count, over which OpenBLAS splits a product from about 26,000
     rows. At one worker tasks run here; otherwise the processes start with
-    the first task submitted."""
+    the first task submitted, each keeping the memory it frees (see
+    _start_worker). The caller's allocator is left as found: its settings
+    cannot be read back to be restored."""
 
     def __init__(self, workers: int = 1):
         if workers < 1:
@@ -266,7 +300,7 @@ class WorkerPool:
         _set_blas_threads(1)
         if self.workers > 1:
             self._executor = ProcessPoolExecutor(
-                self.workers, initializer=_set_blas_threads, initargs=(1,))
+                self.workers, initializer=_start_worker)
         return self
 
     def __exit__(self, *exc) -> None:

@@ -32,7 +32,8 @@ import numpy as np
 from scipy.special import expit, ndtr, ndtri
 
 from .data import Dataset, DataError
-from .intervals import TWO_STAGE, IntervalError, parse_method, validate
+from .intervals import (TWO_STAGE, IntervalError, parse_method,
+                        run_validation)
 from .metrics import (C_STATISTIC, MetricError, c_statistic_value,
                       score_ranks)
 from .models import FitError, FitRecipe, logistic
@@ -678,8 +679,9 @@ def _replication(gen, model: TrueModel, true_auc: float, spec: ScenarioSpec,
     d = generate_cohort(gen, model, spec.p, spec.n, rep_seed)
     plan = ResamplePlan(B, rep_seed)
     try:
-        result = validate(d, FitRecipe("ml"), C_STATISTIC, plan,
-                          methods=methods, inner_B=inner_B, alpha=alpha)
+        result = run_validation(d, FitRecipe("ml"), C_STATISTIC, plan,
+                                methods=methods, inner_B=inner_B,
+                                alpha=alpha)
     except (DataError, FitError, MetricError, ResamplingError,
             OptimismError, IntervalError):
         record = None  # replication-level failure, recorded not fatal

@@ -54,6 +54,20 @@ def test_validate_same_seed_is_byte_identical(csv_path, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_validate_runs_a_repeated_correction_or_ci_method_once(csv_path,
+                                                               tmp_path):
+    # repeats collapse to their first occurrence, in the report's config too
+    a, b = tmp_path / "repeated.json", tmp_path / "once.json"
+    assert run_validate(csv_path, a, "--corrections", "harrell,harrell",
+                        "--ci-methods", "delong,delong,location-shift") == 0
+    assert run_validate(csv_path, b, "--corrections", "harrell",
+                        "--ci-methods", "delong,location-shift") == 0
+    assert a.read_bytes() == b.read_bytes()
+    config = json.loads(a.read_text())["config"]
+    assert config["corrections"] == ["harrell"]
+    assert config["ci_methods"] == ["delong", "location-shift"]
+
+
 def test_validate_rejects_bad_config(csv_path, tmp_path, capsys):
     out = str(tmp_path / "x.json")
     assert main(["validate", "--input", csv_path, "--outcome-column", "y",

@@ -3,6 +3,7 @@ of every process that computes to one BLAS thread."""
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -100,7 +101,7 @@ def test_pool_without_blas_thread_functions_pins_nothing_and_says_so(
     assert resampling._openblas.__wrapped__() is None
     assert "BLAS threads not pinned" in capsys.readouterr().err
     monkeypatch.setattr(resampling, "_openblas", lambda: None)
-    resampling._set_blas_threads(1)  # the workers' initializer
+    resampling._set_blas_threads(1)  # each worker's pin as it starts
     with WorkerPool(1) as pool:
         assert map_records(3, _blas_threads_here, pool) == [None] * 3
     assert blas_threads() is None
@@ -185,10 +186,9 @@ def test_pool_refuses_fewer_than_one_worker(workers):
                  ResamplePlan(4, 2), workers=workers)
 
 
-def test_validate_opens_one_pool_for_its_nested_maps(monkeypatch):
-    # at one worker every map runs here: the CV folds of each fit, the
-    # replicates, the outer replicates and each outer replicate's inner
-    # bootstrap; only validate enters a pool
+@pytest.fixture
+def pools_entered(monkeypatch):
+    """The worker count of each WorkerPool entered."""
     entered = []
     original = WorkerPool.__enter__
 
@@ -197,10 +197,25 @@ def test_validate_opens_one_pool_for_its_nested_maps(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(WorkerPool, "__enter__", counting)
+    return entered
+
+
+def test_validate_opens_one_pool_for_its_nested_maps(pools_entered):
+    # at one worker every map runs here: the CV folds of each fit, the
+    # replicates, the outer replicates and each outer replicate's inner
+    # bootstrap; only validate enters a pool
     validate(make_dataset(62, n=60, p=2), FitRecipe("lasso", n_lambdas=5),
              C_STATISTIC, ResamplePlan(4, 3), corrections=["harrell"],
              methods=["two-stage:harrell"], inner_B=2, workers=1)
-    assert entered == [1]
+    assert pools_entered == [1]
+
+
+def test_run_scenario_opens_one_pool_for_its_replications(pools_entered):
+    # each replication's validation maps on no pool: at one worker it runs
+    # here, and at more it already runs on a worker
+    run_scenario(ScenarioSpec(1), ["two-stage:harrell"], 3, 4, 2, seed=1,
+                 workers=1, calibration_n=20_000, estimand_n=2_000)
+    assert pools_entered == [1]
 
 
 def test_validate_builds_one_executor(executors_built):
@@ -249,3 +264,61 @@ def test_run_scenario_maps_replications_after_its_set_up(workers,
                  workers=workers, calibration_n=20_000, estimand_n=2_000)
     assert at_first_map == [("calibrate_intercept", True),
                             ("estimand_draws", True)]
+
+
+needs_mallopt = pytest.mark.skipif(
+    resampling._mallopt() is None, reason="the C library has no mallopt")
+
+# eight arrays of 344,000 floats (2.75 MB each), the size of one block array
+# of a study-shape inner bootstrap: 100 replicates of about 3,440 rows
+ROUND_ARRAYS, ROUND_FLOATS = 8, 344_000
+ROUND_PAGES = ROUND_ARRAYS * ROUND_FLOATS * 8 // resource.getpagesize()
+
+
+def fault_rounds() -> list[int]:
+    """Minor page faults in each of three rounds that allocate, fill and
+    free the round's arrays."""
+    faults = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        arrays = [np.full(ROUND_FLOATS, 1.0) for _ in range(ROUND_ARRAYS)]
+        del arrays
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - before)
+    return faults
+
+
+@needs_mallopt
+def test_pool_workers_keep_the_memory_they_free():
+    # the first round may fault its pages in; later rounds reuse them
+    with WorkerPool(2) as pool:
+        faults = pool.submit(fault_rounds).result()
+    assert max(faults[1:]) < 64, faults
+
+
+# A fresh process, so that no earlier test has moved its allocator's
+# adaptive thresholds.
+CALLER_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_pool import fault_rounds
+from bootval.resampling import WorkerPool
+before = fault_rounds()
+with WorkerPool(2) as pool:
+    pool.submit(fault_rounds).result()
+print(json.dumps([before, fault_rounds()]))
+"""
+
+
+@needs_mallopt
+def test_pool_leaves_the_callers_allocator_as_found():
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", CALLER_SCRIPT, str(ROOT / "tests")],
+        env=env, capture_output=True, text=True, check=True).stdout
+    before, after = json.loads(out)
+    # glibc gives the freed arrays back, so every round faults them in again
+    assert min(before[1:]) > ROUND_PAGES // 2, before
+    assert min(after[1:]) > ROUND_PAGES // 2, after

@@ -380,7 +380,7 @@ def test_run_scenario_propagates_errors_outside_the_library(monkeypatch,
                                                             error):
     def fail(*args, **kwargs):
         raise error
-    monkeypatch.setattr(simulation, "validate", fail)
+    monkeypatch.setattr(simulation, "run_validation", fail)
     with pytest.raises(type(error)):
         run_scenario(ScenarioSpec(1), ["delong"], replications=2, B=5,
                      inner_B=5, seed=1, calibration_n=20_000,
@@ -390,7 +390,7 @@ def test_run_scenario_propagates_errors_outside_the_library(monkeypatch,
 def test_run_scenario_counts_library_errors_as_failures(monkeypatch):
     def fail(*args, **kwargs):
         raise IntervalError("all outer replicates invalid")
-    monkeypatch.setattr(simulation, "validate", fail)
+    monkeypatch.setattr(simulation, "run_validation", fail)
     [result] = run_scenario(ScenarioSpec(1), ["delong"],
                             replications=2, B=5, inner_B=5, seed=1,
                             calibration_n=20_000, estimand_n=5_000)
