@@ -50,8 +50,7 @@ from bootval.resampling import stream
 from bootval.simulation import (COLUMN_NAMES, SCENARIO_TABLE,
                                 CovariateGenerator, GeneratorConfig,
                                 ScenarioSpec, TrueModel, brentq, bvn_cdf,
-                                calibrate_intercept, columns_for_p,
-                                estimate_true_auc)
+                                calibrate_intercept, estimate_true_auc)
 
 #: |r| bands of Genz's method; each gets a quarter of the tail points
 BANDS = ((0.0, 0.3), (0.3, 0.75), (0.75, 0.925), (0.925, 0.9999))
@@ -211,12 +210,12 @@ def one_shot_sample(gen, n, rng):
     return out
 
 
-def one_shot_lp(gen, slopes, col_hi, n, rng, chunk=200_000):
+def one_shot_lp(gen, slopes, n, rng, chunk=200_000):
     """simulation._sample_lp as it was: one product per whole sample."""
     out = np.empty(n)
     for lo in range(0, n, chunk):
         x = one_shot_sample(gen, min(chunk, n - lo), rng)
-        out[lo:lo + len(x)] = x[:, :col_hi] @ slopes
+        out[lo:lo + len(x)] = x[:, :slopes.size] @ slopes
     return out
 
 
@@ -227,12 +226,11 @@ def check_streaming() -> int:
     for seed in LP_SEEDS:
         for scenario, (_, _, p, ctype) in SCENARIO_TABLE.items():
             slopes = config.coefficients[(p, ctype)]
-            hi = columns_for_p(p)
             for n, chunk, path in LP_SIZES:
                 sub = simulation._subseed(seed, path + 1, scenario)
                 ours, theirs = stream(sub, 3, path), stream(sub, 3, path)
-                lp = simulation._sample_lp(gen, slopes, hi, n, ours, chunk)
-                want = one_shot_lp(gen, slopes, hi, n, theirs, chunk)
+                lp = simulation._sample_lp(gen, slopes, n, ours, chunk)
+                want = one_shot_lp(gen, slopes, n, theirs, chunk)
                 if (lp.tobytes() != want.tobytes()
                         or ours.random() != theirs.random()):
                     fail(f"streamed linear predictor of scenario "
@@ -257,11 +255,10 @@ def setup(spec: ScenarioSpec):
     config = GeneratorConfig.default()
     gen = CovariateGenerator(config)
     slopes = config.coefficients[(spec.p, spec.coefficient_type)]
-    beta0 = calibrate_intercept(gen, slopes, spec.event_rate, spec.p,
+    beta0 = calibrate_intercept(gen, slopes, spec.event_rate,
                                 sample_n=1_000_000,
                                 seed=simulation._subseed(SEED, 1, spec.id))
-    true_auc = estimate_true_auc(gen, TrueModel(beta0, slopes), spec.p,
-                                 500_000,
+    true_auc = estimate_true_auc(gen, TrueModel(beta0, slopes), 500_000,
                                  seed=simulation._subseed(SEED, 2, spec.id))
     return gen._latent_chol, beta0, true_auc
 

@@ -72,10 +72,9 @@ def fail(what: str) -> None:
 
 def cohort(spec: ScenarioSpec, gen, config, seed: int) -> Dataset:
     slopes = config.coefficients[(spec.p, spec.coefficient_type)]
-    beta0 = calibrate_intercept(gen, slopes, spec.event_rate, spec.p,
+    beta0 = calibrate_intercept(gen, slopes, spec.event_rate,
                                 sample_n=100_000, seed=seed)
-    return generate_cohort(gen, TrueModel(beta0, slopes), spec.p, spec.n,
-                           seed)
+    return generate_cohort(gen, TrueModel(beta0, slopes), spec.n, seed)
 
 
 def check_start(pat: Patterns, events, trials, where: str) -> None:

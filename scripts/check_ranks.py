@@ -37,8 +37,7 @@ from bootval.models import logistic
 from bootval.resampling import stream
 from bootval.simulation import (CovariateGenerator, GeneratorConfig,
                                 ScenarioSpec, _sample_lp,
-                                calibrate_intercept, columns_for_p,
-                                true_risk_score)
+                                calibrate_intercept, true_risk_score)
 from oracles import midrank_c_statistic, midrank_delong_variance
 
 INPUTS = 100_000
@@ -112,11 +111,10 @@ def check_estimand(scenario: int, seed: int) -> tuple[float, float]:
     config = GeneratorConfig.default()
     gen = CovariateGenerator(config)
     slopes = config.coefficients[(spec.p, spec.coefficient_type)]
-    beta0 = calibrate_intercept(gen, slopes, spec.event_rate, spec.p,
+    beta0 = calibrate_intercept(gen, slopes, spec.event_rate,
                                 sample_n=CALIBRATION_N, seed=seed)
     rng = stream(seed, 3, 1)
-    lp = _sample_lp(gen, slopes, columns_for_p(spec.p), ESTIMAND_N, rng,
-                    chunk=ESTIMAND_N)
+    lp = _sample_lp(gen, slopes, ESTIMAND_N, rng, chunk=ESTIMAND_N)
     y = rng.random(ESTIMAND_N) < logistic(beta0 + lp)
     scores = true_risk_score(lp)
     what = f"scenario {scenario} seed {seed}"

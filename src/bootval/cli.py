@@ -59,7 +59,11 @@ def _interval_specs(ci_methods, corrections) -> list[str]:
     correction, whatever the order given."""
     specs = []
     for item in ci_methods:
-        if item.split(":", 1)[0] in CORRECTED:
+        if ":" in item:
+            raise ConfigError(f"--ci-methods takes interval kinds, got "
+                              f"{item!r}; --corrections names the "
+                              f"corrections")
+        if item in CORRECTED:
             specs += [f"{item}:{c}" for c in corrections]
         else:
             specs.append(item)

@@ -24,8 +24,8 @@ from .models import FitError, FitRecipe, predict
 from .optimism import (METHODS, OOB_METHODS, OptimismError, OptimismResult,
                        ReplicateSet, apparent_fit, correct,
                        evaluate_replicates, kernel_patterns, two_class_draw)
-from .resampling import (ResamplePlan, WorkerPool, inner_level, map_indices,
-                         percentile_interval)
+from .resampling import (ResamplePlan, ResamplingError, WorkerPool,
+                         inner_level, map_indices, percentile_interval)
 
 DELONG = "delong"
 APPARENT = "apparent"
@@ -210,7 +210,12 @@ def run_validation(d: Dataset, recipe: FitRecipe, measure: str,
     specs (see parse_method). All two-stage intervals share one outer map,
     each outer replicate running the same bootstrap at inner_B. Every map
     runs on the open pool, or here when pool is None (the caller already
-    runs on a worker)."""
+    runs on a worker). The arguments are checked before any fit."""
+    if not 0.0 < alpha < 1.0:
+        raise ResamplingError("alpha must be in (0, 1)")
+    for c in corrections:
+        if c not in METHODS:
+            raise OptimismError(f"unknown correction method {c!r}")
     parsed = [parse_method(m) for m in methods]
     if measure != C_STATISTIC and any(k == DELONG for k, _ in parsed):
         raise IntervalError("the DeLong interval applies to the c-statistic "

@@ -56,6 +56,9 @@ class FitRecipe:
             raise FitError(f"unknown estimator {self.estimator!r}")
         if self.penalty is not None and not 0 <= self.penalty < np.inf:
             raise FitError("penalty must be finite and nonnegative")
+        if self.penalty is not None and self.estimator == "ml":
+            raise FitError("a penalty applies to the ridge or lasso "
+                           "estimator only")
 
 
 @dataclass(frozen=True)

@@ -114,15 +114,6 @@ _COLUMN = {name: j for j, name in enumerate(COLUMN_NAMES)}
 _BINARY_COLUMNS = np.array([_COLUMN[name] for name in BINARY_NAMES])
 
 
-def columns_for_p(p: int) -> int:
-    """How many leading COLUMN_NAMES a p-predictor scenario uses."""
-    if p == 8:
-        return 8
-    if p == 17:
-        return len(COLUMN_NAMES)
-    raise SimulationError(f"unsupported predictor count {p}")
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Raw generator parameters, loadable from the delimited-table file."""
@@ -205,10 +196,16 @@ class GeneratorConfig:
             raise SimulationError("generator table section [age_threshold] "
                                   "must hold exactly one value")
         coeffs = {}
-        for p in (8, 17):
+        # the 17-predictor model has 18 columns: smoking is two dummies
+        for p, width in ((8, 8), (17, len(COLUMN_NAMES))):
             for t in (1, 2):
                 key = f"coefficients_{p}_type{t}"
-                coeffs[(p, t)] = matrix(key).ravel()
+                slopes = matrix(key).ravel()
+                if slopes.size != width:
+                    raise SimulationError(f"generator table section [{key}] "
+                                          f"must hold {width} values, not "
+                                          f"{slopes.size}")
+                coeffs[(p, t)] = slopes
         return cls(
             continuous_means=keyed("continuous_means",
                                    ("height", "weight", "age")),
@@ -548,20 +545,19 @@ def _subseed(seed: int, *path: int) -> int:
         seed, spawn_key=tuple(int(k) for k in path)).generate_state(1)[0])
 
 
-def _lp_blocks(gen: CovariateGenerator, slopes: np.ndarray, col_hi: int,
-               n: int, rng: np.random.Generator):
+def _lp_blocks(gen: CovariateGenerator, slopes: np.ndarray, n: int,
+               rng: np.random.Generator):
     """Each block x of gen.blocks(n, rng) with its linear predictor
-    x[:, :col_hi] @ slopes, without the intercept. One product per block
-    gives the bits of the one-shot product at one BLAS thread, at any
-    thread count (see BLOCK_ROWS)."""
-    if slopes.shape[0] != col_hi:
-        raise SimulationError("slope vector does not match generator width")
+    x[:, :slopes.size] @ slopes, without the intercept: the slopes weight
+    the leading columns. One product per block gives the bits of the
+    one-shot product at one BLAS thread, at any thread count (see
+    BLOCK_ROWS)."""
     for x in gen.blocks(n, rng):
-        yield x, x[:, :col_hi] @ slopes
+        yield x, x[:, :slopes.size] @ slopes
 
 
-def _sample_lp(gen: CovariateGenerator, slopes: np.ndarray, col_hi: int,
-               n: int, rng: np.random.Generator,
+def _sample_lp(gen: CovariateGenerator, slopes: np.ndarray, n: int,
+               rng: np.random.Generator,
                chunk: int = 200_000) -> np.ndarray:
     """The linear predictor of n rows drawn as successive
     gen.sample(chunk, rng) calls draw them. Each block is reduced and
@@ -569,16 +565,14 @@ def _sample_lp(gen: CovariateGenerator, slopes: np.ndarray, col_hi: int,
     out = np.empty(n)
     done = 0
     while done < n:
-        for _, lp in _lp_blocks(gen, slopes, col_hi, min(chunk, n - done),
-                                rng):
+        for _, lp in _lp_blocks(gen, slopes, min(chunk, n - done), rng):
             out[done:done + len(lp)] = lp
             done += len(lp)
     return out
 
 
 def calibrate_intercept(gen: CovariateGenerator, slopes: np.ndarray,
-                        target_rate: float, p: int,
-                        sample_n: int = 1_000_000,
+                        target_rate: float, sample_n: int = 1_000_000,
                         seed: int = 0) -> float:
     """Intercept giving the target event fraction, by monotone root search
     on the Monte Carlo mean of the event probability."""
@@ -586,8 +580,7 @@ def calibrate_intercept(gen: CovariateGenerator, slopes: np.ndarray,
         raise SimulationError("target rate must be in (0, 1)")
     if sample_n < 1:
         raise SimulationError("calibration sample must have >= 1 row")
-    lp = _sample_lp(gen, slopes, columns_for_p(p), sample_n,
-                    stream(seed, 3, 0))
+    lp = _sample_lp(gen, slopes, sample_n, stream(seed, 3, 0))
     base = float(np.log(target_rate / (1.0 - target_rate)))
     buf = np.empty_like(lp)  # each evaluation's logistic(b0 + lp)
 
@@ -602,18 +595,19 @@ def calibrate_intercept(gen: CovariateGenerator, slopes: np.ndarray,
     return brentq(excess, lo, up, xtol=1e-10)
 
 
-def generate_cohort(gen: CovariateGenerator, model: TrueModel, p: int,
-                    n: int, seed: int) -> Dataset:
+def generate_cohort(gen: CovariateGenerator, model: TrueModel, n: int,
+                    seed: int) -> Dataset:
     """Covariates per block, event probability from the true model, and
-    Bernoulli outcomes; deterministic per seed. The linear predictor is
-    reduced block by block, as _sample_lp reduces it."""
-    hi = columns_for_p(p)
+    Bernoulli outcomes; deterministic per seed. The cohort holds the
+    leading columns the slopes weight. The linear predictor is reduced
+    block by block, as _sample_lp reduces it."""
+    width = model.slopes.size
     rng = stream(seed, 3, 1)
-    xs, lps = zip(*_lp_blocks(gen, model.slopes, hi, n, rng))
-    x = np.concatenate(xs)[:, :hi]
+    xs, lps = zip(*_lp_blocks(gen, model.slopes, n, rng))
+    x = np.concatenate(xs)[:, :width]
     pi = logistic(model.beta0 + np.concatenate(lps))
     y = (rng.random(n) < pi).astype(float)
-    return Dataset(y, x, COLUMN_NAMES[:hi])
+    return Dataset(y, x, COLUMN_NAMES[:width])
 
 
 def true_risk_score(lp: np.ndarray) -> np.ndarray:
@@ -624,7 +618,7 @@ def true_risk_score(lp: np.ndarray) -> np.ndarray:
     return np.round(lp, 10)
 
 
-def estimand_draws(gen: CovariateGenerator, slopes: np.ndarray, p: int,
+def estimand_draws(gen: CovariateGenerator, slopes: np.ndarray,
                    test_n: int, seed: int):
     """All of estimate_true_auc's work that the intercept does not enter:
     the cohort's linear predictor without the intercept, from _sample_lp
@@ -634,20 +628,19 @@ def estimand_draws(gen: CovariateGenerator, slopes: np.ndarray, p: int,
     if test_n < 1000:
         raise SimulationError("external test cohort must have >= 1000 rows")
     rng = stream(seed, 3, 1)
-    lp = _sample_lp(gen, slopes, columns_for_p(p), test_n, rng,
-                    chunk=test_n)
+    lp = _sample_lp(gen, slopes, test_n, rng, chunk=test_n)
     return lp, rng, score_ranks(true_risk_score(lp))
 
 
-def estimate_true_auc(gen: CovariateGenerator, model: TrueModel, p: int,
+def estimate_true_auc(gen: CovariateGenerator, model: TrueModel,
                       test_n: int, seed: int, draws=None) -> float:
     """Empirical AUC of the true risk score on a fresh external cohort: the
-    one generate_cohort(gen, model, p, test_n, seed) draws, whose outcomes
+    one generate_cohort(gen, model, test_n, seed) draws, whose outcomes
     follow its covariates in the stream. Equal true risks count as ties, as
     in every C-statistic here. The cohort's covariates are reduced to their
-    linear predictor. `draws` is estimand_draws(gen, model.slopes, p,
-    test_n, seed) where the caller has it already."""
-    lp, rng, ranks = draws or estimand_draws(gen, model.slopes, p, test_n,
+    linear predictor. `draws` is estimand_draws(gen, model.slopes, test_n,
+    seed) where the caller has it already."""
+    lp, rng, ranks = draws or estimand_draws(gen, model.slopes, test_n,
                                              seed)
     y = rng.random(test_n) < logistic(model.beta0 + lp)
     return c_statistic_value(None, y, ranks)
@@ -676,7 +669,7 @@ def _replication(gen, model: TrueModel, true_auc: float, spec: ScenarioSpec,
     Each finished replication prints one progress line to stderr."""
     start = time.monotonic()
     rep_seed = _subseed(seed, 3, spec.id, i)
-    d = generate_cohort(gen, model, spec.p, spec.n, rep_seed)
+    d = generate_cohort(gen, model, spec.n, rep_seed)
     plan = ResamplePlan(B, rep_seed)
     try:
         result = run_validation(d, FitRecipe("ml"), C_STATISTIC, plan,
@@ -730,13 +723,13 @@ def run_scenario(spec: ScenarioSpec, methods, replications: int, B: int,
         # calibration's arrays when the estimand's arrive, and a worker idle
         # through set-up starts the replications with a cold heap.
         beta0 = pool.submit(calibrate_intercept, gen, slopes, spec.event_rate,
-                            spec.p, calibration_n, _subseed(seed, 1, spec.id))
+                            calibration_n, _subseed(seed, 1, spec.id))
         estimand_seed = _subseed(seed, 2, spec.id)
-        draws = pool.submit(estimand_draws, gen, slopes, spec.p, estimand_n,
+        draws = pool.submit(estimand_draws, gen, slopes, estimand_n,
                             estimand_seed)
         model = TrueModel(beta0.result(), slopes)
-        true_auc = estimate_true_auc(gen, model, spec.p, estimand_n,
-                                     estimand_seed, draws=draws.result())
+        true_auc = estimate_true_auc(gen, model, estimand_n, estimand_seed,
+                                     draws=draws.result())
         task = partial(_replication, gen, model, true_auc, spec, methods, B,
                        inner_B, alpha, seed, replications)
         records = map_records(replications, task, pool)

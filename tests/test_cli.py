@@ -90,6 +90,18 @@ def test_validate_rejects_suffixed_ci_method(csv_path, tmp_path, capsys):
         assert not out.exists()
 
 
+def test_validate_names_the_corrections_option_for_a_suffixed_kind(
+        csv_path, tmp_path, capsys):
+    # it said "location-shift requires a correction, got 'harrell:harrell'"
+    out = tmp_path / "x.json"
+    assert run_validate(csv_path, out, "--ci-methods",
+                        "location-shift:harrell") == 2
+    assert capsys.readouterr().err == (
+        "bootval: error: --ci-methods takes interval kinds, got "
+        "'location-shift:harrell'; --corrections names the corrections\n")
+    assert not out.exists()
+
+
 def test_validate_calibration_slope_default_ci_methods(csv_path, tmp_path):
     out = tmp_path / "slope.json"
     assert run_validate(csv_path, out, "--measure", "calibration-slope",
@@ -292,6 +304,30 @@ def test_simulate_rejects_a_malformed_generator_table(tmp_path, capsys,
                  "--calibration-n", "20000", "--estimand-n", "2000",
                  "--output-prefix", str(tmp_path / "x")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, width", [
+    ("coefficients_8_type1", 8), ("coefficients_17_type1", 18)])
+def test_simulate_checks_coefficient_rows_before_any_scenario(
+        tmp_path, capsys, section, width):
+    # A row's length was checked only when a scenario that reads it
+    # started: scenario 5 ran to the end before scenario 1 failed.
+    table = SRC / "bootval" / "params" / "default_generator.table"
+    lines = table.read_text().splitlines(keepends=True)
+    row = lines.index(f"[{section}]\n") + 1
+    lines[row] = lines[row].rsplit(",", 1)[0] + "\n"  # drop the last value
+    path = tmp_path / "short.table"
+    path.write_text("".join(lines))
+    assert main(["simulate", "--scenarios", "5,1", "--generator-params",
+                 str(path), "--replications", "1", "--B", "2",
+                 "--calibration-n", "20000", "--estimand-n", "2000",
+                 "--workers", "1", "--output-prefix",
+                 str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"bootval: error: generator table section [{section}] "
+                   f"must hold {width} values, not {width - 1}\n")
+    assert "replication" not in err
+    assert not list(tmp_path.glob("x.*"))
 
 
 @pytest.mark.parametrize("calibration_n", ["0", "-5"])

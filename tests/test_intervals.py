@@ -15,7 +15,7 @@ from bootval.metrics import (C_STATISTIC, CALIBRATION_SLOPE, delong_variance,
 from bootval.models import FitError, FitRecipe, predict
 from bootval.optimism import (METHODS, OptimismError, apparent_fit, correct,
                               evaluate_replicates)
-from bootval.resampling import ResamplePlan
+from bootval.resampling import ResamplePlan, ResamplingError
 
 from conftest import make_dataset, raising
 from oracles import (location_shifted_reference, percentile_oracle,
@@ -68,6 +68,23 @@ def test_validate_rejects_delong_for_calibration_slope(monkeypatch):
     with pytest.raises(IntervalError, match="c-statistic only"):
         validate(d, FitRecipe(), CALIBRATION_SLOPE, ResamplePlan(5, 1),
                  methods=["apparent", "delong"])
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"alpha": 1.5, "methods": ["apparent"]}, ResamplingError,
+     r"alpha must be in \(0, 1\)"),
+    ({"alpha": 1.0, "methods": ["delong"]}, ResamplingError,
+     r"alpha must be in \(0, 1\)"),
+    ({"corrections": ["bogus"]}, OptimismError,
+     "unknown correction method 'bogus'"),
+], ids=["alpha", "alpha-delong", "correction"])
+def test_validate_checks_its_arguments_before_any_fit(monkeypatch, kwargs,
+                                                      error, message):
+    # the injected apparent fit is never reached
+    d = make_dataset(62, n=80, p=2)
+    monkeypatch.setattr(intervals, "apparent_fit", raising(AssertionError))
+    with pytest.raises(error, match=message):
+        validate(d, FitRecipe(), C_STATISTIC, ResamplePlan(5, 1), **kwargs)
 
 
 def test_apparent_ci_matches_percentile_oracle_on_replicates():

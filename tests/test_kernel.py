@@ -156,7 +156,7 @@ def _scenario_cohort(p, n, seed, beta0=-2.3):
     config = GeneratorConfig.default()
     return generate_cohort(CovariateGenerator(config),
                            TrueModel(beta0, config.coefficients[(p, 1)]),
-                           p, n, seed)
+                           n, seed)
 
 
 def _separated_dataset(seed, n=40):

@@ -24,6 +24,13 @@ def test_recipe_validation():
             FitRecipe("ridge", penalty=penalty)
 
 
+@pytest.mark.parametrize("penalty", [0.0, 5.0])
+def test_recipe_refuses_a_penalty_for_ml(penalty):
+    # it was dropped without a word: the fit came back unpenalized
+    with pytest.raises(FitError, match="ridge or lasso estimator only"):
+        FitRecipe("ml", penalty=penalty)
+
+
 def test_intercept_only_balanced_outcomes():
     # logit(0.5) = 0 for a constant predictor with 5 events / 5 nonevents
     d = Dataset(np.array([1.0] * 5 + [0.0] * 5), np.zeros((10, 1)))

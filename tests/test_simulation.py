@@ -139,7 +139,7 @@ def test_streamed_lp_equals_one_shot_product(p):
     # one-shot product across threads and change its bits.
     for n, chunk in ((50_007, 20_011), (20_011, 20_011), (999, 250)):
         rng, ref_rng = stream(n, 3, 0), stream(n, 3, 0)
-        lp = simulation._sample_lp(gen, slopes, slopes.size, n, rng, chunk)
+        lp = simulation._sample_lp(gen, slopes, n, rng, chunk)
         ref = one_shot_lp(gen, slopes, n, ref_rng, chunk)
         assert lp.tobytes() == ref.tobytes()
         assert rng.random() == ref_rng.random()
@@ -153,7 +153,7 @@ from bootval import simulation as s
 from bootval.resampling import stream
 cfg = s.GeneratorConfig.default()
 gen, slopes, n = s.CovariateGenerator(cfg), cfg.coefficients[(17, 1)], 75_013
-lp = s._sample_lp(gen, slopes, 18, n, stream(5, 3, 1), chunk=n)
+lp = s._sample_lp(gen, slopes, n, stream(5, 3, 1), chunk=n)
 one_shot = gen.sample(n, stream(5, 3, 1)) @ slopes
 print(hashlib.sha256(lp).hexdigest(), hashlib.sha256(one_shot).hexdigest())
 """
@@ -183,9 +183,8 @@ cfg = s.GeneratorConfig.default()
 gen, slopes, n = s.CovariateGenerator(cfg), cfg.coefficients[(17, 1)], 27_027
 model, passed, logistic = s.TrueModel(-0.85, slopes), [], s.logistic
 s.logistic = lambda eta: passed.append(eta.copy()) or logistic(eta)
-s.generate_cohort(gen, model, 17, n, seed=5)
-want = model.beta0 + s._sample_lp(gen, slopes, 18, n, stream(5, 3, 1),
-                                  chunk=n)
+s.generate_cohort(gen, model, n, seed=5)
+want = model.beta0 + s._sample_lp(gen, slopes, n, stream(5, 3, 1), chunk=n)
 print(passed[0].tobytes() == want.tobytes())
 """
 
@@ -220,6 +219,22 @@ def test_generator_table_without_a_section_rejected():
     text = text.replace("[age_threshold]\n65\n", "")
     with pytest.raises(SimulationError,
                        match=r"no \[age_threshold\] section"):
+        GeneratorConfig.from_text(text)
+
+
+@pytest.mark.parametrize("section, values, width", [
+    ("coefficients_8_type1", 7, 8), ("coefficients_17_type1", 17, 18),
+    ("coefficients_8_type2", 9, 8)])
+def test_generator_table_coefficient_row_length_checked(section, values,
+                                                        width):
+    text = (resources.files("bootval") / "params" /
+            "default_generator.table").read_text()
+    head, rest = text.split(f"[{section}]\n")
+    row = ",".join(["0.1"] * values)
+    text = f"{head}[{section}]\n{row}\n{rest.split(chr(10), 1)[1]}"
+    with pytest.raises(SimulationError,
+                       match=rf"\[{section}\] must hold {width} values, "
+                             rf"not {values}"):
         GeneratorConfig.from_text(text)
 
 
@@ -443,22 +458,21 @@ def test_run_scenario_lets_a_bad_B_propagate():
 
 def test_calibrate_intercept_closed_forms():
     gen = CovariateGenerator(GeneratorConfig.default())
-    b0 = calibrate_intercept(gen, np.zeros(8), 0.5, 8, sample_n=20_000,
-                             seed=3)
+    b0 = calibrate_intercept(gen, np.zeros(8), 0.5, sample_n=20_000, seed=3)
     assert abs(b0) < 1e-6
-    b0 = calibrate_intercept(gen, np.zeros(8), 0.125, 8, sample_n=20_000,
+    b0 = calibrate_intercept(gen, np.zeros(8), 0.125, sample_n=20_000,
                              seed=3)
     assert abs(b0 - np.log(0.125 / 0.875)) < 1e-6
     with pytest.raises(SimulationError):
-        calibrate_intercept(gen, np.zeros(8), 1.5, 8)
+        calibrate_intercept(gen, np.zeros(8), 1.5)
 
 
 def test_calibrated_rate_achieved_on_fresh_cohort():
     cfg = GeneratorConfig.default()
     gen = CovariateGenerator(cfg)
     slopes = cfg.coefficients[(8, 1)]
-    b0 = calibrate_intercept(gen, slopes, 0.125, 8, sample_n=200_000, seed=4)
-    d = generate_cohort(gen, TrueModel(b0, slopes), 8, 100_000, seed=5)
+    b0 = calibrate_intercept(gen, slopes, 0.125, sample_n=200_000, seed=4)
+    d = generate_cohort(gen, TrueModel(b0, slopes), 100_000, seed=5)
     assert abs(d.outcomes.mean() - 0.125) < 0.01
 
 
@@ -466,39 +480,38 @@ def test_generate_cohort_determinism_and_shape():
     cfg = GeneratorConfig.default()
     gen = CovariateGenerator(cfg)
     model = TrueModel(-2.0, cfg.coefficients[(8, 1)])
-    a = generate_cohort(gen, model, 8, 300, seed=6)
-    b = generate_cohort(gen, model, 8, 300, seed=6)
-    c = generate_cohort(gen, model, 8, 300, seed=7)
+    a = generate_cohort(gen, model, 300, seed=6)
+    b = generate_cohort(gen, model, 300, seed=6)
+    c = generate_cohort(gen, model, 300, seed=7)
     assert np.array_equal(a.outcomes, b.outcomes)
     assert np.array_equal(a.predictors, b.predictors)
     assert not np.array_equal(a.outcomes, c.outcomes)
     assert a.p == 8 and a.names == COLUMN_NAMES[:8]
 
 
-def test_generate_cohort_slope_width_mismatch():
-    cfg = GeneratorConfig.default()
-    gen = CovariateGenerator(cfg)
-    with pytest.raises(SimulationError, match="width"):
-        generate_cohort(gen, TrueModel(0.0, np.zeros(5)), 8, 100, seed=1)
+def test_generate_cohort_takes_its_width_from_the_slopes():
+    gen = CovariateGenerator(GeneratorConfig.default())
+    d = generate_cohort(gen, TrueModel(0.0, np.zeros(5)), 100, seed=1)
+    assert d.predictors.shape == (100, 5)
+    assert d.names == COLUMN_NAMES[:5]
 
 
 def test_estimate_true_auc_uninformative_model():
     gen = CovariateGenerator(GeneratorConfig.default())
-    auc = estimate_true_auc(gen, TrueModel(0.0, np.zeros(8)), 8, 50_000,
-                            seed=8)
+    auc = estimate_true_auc(gen, TrueModel(0.0, np.zeros(8)), 50_000, seed=8)
     assert abs(auc - 0.5) < 0.01
     with pytest.raises(SimulationError):
-        estimate_true_auc(gen, TrueModel(0.0, np.zeros(8)), 8, 10, seed=8)
+        estimate_true_auc(gen, TrueModel(0.0, np.zeros(8)), 10, seed=8)
 
 
 def test_estimate_true_auc_informative_and_stable():
     cfg = GeneratorConfig.default()
     gen = CovariateGenerator(cfg)
     slopes = cfg.coefficients[(8, 1)]
-    b0 = calibrate_intercept(gen, slopes, 0.125, 8, sample_n=100_000, seed=9)
+    b0 = calibrate_intercept(gen, slopes, 0.125, sample_n=100_000, seed=9)
     model = TrueModel(b0, slopes)
-    a = estimate_true_auc(gen, model, 8, 100_000, seed=10)
-    b = estimate_true_auc(gen, model, 8, 100_000, seed=11)
+    a = estimate_true_auc(gen, model, 100_000, seed=10)
+    b = estimate_true_auc(gen, model, 100_000, seed=11)
     assert a > 0.6  # the bundled coefficients give an informative model
     assert abs(a - b) < 0.01
 
@@ -520,9 +533,9 @@ def test_set_up_does_not_hold_the_predictor_matrix():
     gen = CovariateGenerator(cfg)
     slopes = cfg.coefficients[(17, 1)]
     assert traced_peak(lambda: estimate_true_auc(
-        gen, TrueModel(-2.0, slopes), 17, 200_000, seed=1)) < 40 * 2**20
+        gen, TrueModel(-2.0, slopes), 200_000, seed=1)) < 40 * 2**20
     assert traced_peak(lambda: calibrate_intercept(
-        gen, slopes, 0.125, 17, sample_n=400_000, seed=1)) < 50 * 2**20
+        gen, slopes, 0.125, sample_n=400_000, seed=1)) < 50 * 2**20
 
 
 def test_estimate_true_auc_ties_equal_decimal_risks():
@@ -532,8 +545,8 @@ def test_estimate_true_auc_ties_equal_decimal_risks():
     gen = CovariateGenerator(GeneratorConfig.default())
     tenths = np.array([1, 2, 3, 6, 9, 4, 5, 7])
     model = TrueModel(-2.0, tenths / 10)
-    auc = estimate_true_auc(gen, model, 8, 20_000, seed=12)
-    d = generate_cohort(gen, model, 8, 20_000, seed=12)
+    auc = estimate_true_auc(gen, model, 20_000, seed=12)
+    d = generate_cohort(gen, model, 20_000, seed=12)
     x, y = d.predictors, d.outcomes
     # the float sums do split the decimal ties on this cohort
     assert np.unique(x @ model.slopes).size > np.unique(x @ tenths).size
